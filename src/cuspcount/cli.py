@@ -5,7 +5,8 @@
 
 Exit codes: 0 on success, 2 when the input family fails one of the method's
 hypotheses (the failing condition is named on stderr), 1 on usage or parse
-errors.
+errors, 3 on an internal error such as computed quantities that contradict
+each other (the pipeline stage is named on stderr).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import asdict
 
 from .branch_counter import DEFAULT_MATRIX_ATTEMPTS, DEFAULT_XI_CAP
 from .cusp_pipeline import BifurcationReport, run
-from .errors import CuspCountError, ParseError
+from .errors import CuspCountError, HypothesisError, ParseError, PipelineError
 from .exprparse import EXPONENT_CAP, parse_poly
 
 GRAMMAR_HELP = f"""\
@@ -188,9 +189,15 @@ def main(argv: list[str] | None = None) -> int:
         report = run(
             f1, f2, seed=seed, xi_cap=args.xi_cap, matrix_attempts=args.attempts
         )
+    except PipelineError as e:
+        if isinstance(e.cause, HypothesisError):
+            print(f"analysis failed: {e}", file=sys.stderr)
+            return 2
+        print(f"internal error in stage {e.stage!r}: {e.cause}", file=sys.stderr)
+        return 3
     except CuspCountError as e:
-        print(f"analysis failed: {e}", file=sys.stderr)
-        return 2
+        print(f"internal error: {e}", file=sys.stderr)
+        return 3
 
     print(render_json(report) if args.json else render_text(report))
     return 0

@@ -210,62 +210,82 @@ def build_algebra(germ: MapGerm | Sequence[Poly]) -> LocalAlgebra:
 
 def signature(matrix: Sequence[Sequence]) -> tuple[int, int, int]:
     """Inertia (positives, negatives, zeros) of an exact symmetric matrix,
-    by symmetric congruence diagonalization."""
-    a = [[Fraction(x) for x in row] for row in matrix]
-    n = len(a)
-    for row in a:
+    given as a square list of rows.
+
+    Symmetric congruence elimination on the nonzero entries only, kept as
+    {row: {col: value}}.  Each step pivots on the nonzero diagonal entry
+    whose row has the fewest entries, lowest index first (Markowitz's rule),
+    which keeps fill-in small on the sparse residue pairing.  When every
+    diagonal entry is zero, row and column j are first added into i for a
+    nonzero a[i][j], which leaves a[i][i] = 2*a[i][j] != 0.
+    """
+    n = len(matrix)
+    rows: dict[int, dict[int, Fraction]] = {}
+    for i, row in enumerate(matrix):
         if len(row) != n:
             raise ValueError("matrix must be square")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if a[i][j] != a[j][i]:
+        nonzeros = {j: Fraction(x) for j, x in enumerate(row) if x}
+        if nonzeros:
+            rows[i] = nonzeros
+    for i, row in rows.items():
+        for j, x in row.items():
+            if rows.get(j, {}).get(i) != x:
                 raise ValueError("matrix must be symmetric")
-    pos = neg = zero = 0
-    for k in range(n):
-        piv = None
-        for j in range(k, n):
-            if a[j][j] != 0:
-                piv = j
-                break
-        if piv is None:
-            found = None
-            for i in range(k, n):
-                for j in range(i + 1, n):
-                    if a[i][j] != 0:
-                        found = (i, j)
-                        break
-                if found:
-                    break
-            if found is None:
-                zero += n - k
-                break
-            i, j = found
-            # make a usable diagonal entry: row/col j added into row/col i
-            for c in range(n):
-                a[i][c] += a[j][c]
-            for r in range(n):
-                a[r][i] += a[r][j]
-            piv = i
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            for r in range(n):
-                a[r][k], a[r][piv] = a[r][piv], a[r][k]
-        p = a[k][k]
+
+    pos = neg = 0
+    while rows:
+        k = min(
+            (i for i, row in rows.items() if i in row),
+            key=lambda i: (len(rows[i]), i),
+            default=None,
+        )
+        if k is None:
+            # every diagonal entry is zero: add row and column j into i,
+            # which makes a[i][i] = 2*a[i][j]
+            i = min(rows, key=lambda r: (len(rows[r]), r))
+            j = min(rows[i], key=lambda c: (len(rows[c]), c))
+            ri = rows[i]
+            for c, v in rows[j].items():
+                if c == i:
+                    continue
+                s = ri.get(c, 0) + v
+                if s:
+                    ri[c] = rows[c][i] = s
+                else:
+                    del ri[c], rows[c][i]
+            ri[i] = 2 * ri[j]
+            continue
+        rk = rows.pop(k)
+        p = rk.pop(k)
         if p > 0:
             pos += 1
         else:
             neg += 1
-        for i in range(k + 1, n):
-            f = a[i][k] / p
-            if f:
-                for c in range(k, n):
-                    a[i][c] -= f * a[k][c]
-        for j in range(k + 1, n):
-            f = a[k][j] / p
-            if f:
-                for r in range(k, n):
-                    a[r][j] -= f * a[r][k]
-    return pos, neg, zero
+        # a[i][j] -= a[i][k]*a[k][j]/p on the pivot's neighbours, each pair
+        # once; on numerators and denominators, which makes one Fraction per
+        # entry instead of two
+        pn, pd = p.numerator, p.denominator
+        nbrs = [(i, a.numerator, a.denominator) for i, a in rk.items()]
+        for at, (i, an, ad) in enumerate(nbrs):
+            ri = rows[i]
+            del ri[k]
+            fn, fd = an * pd, ad * pn  # a[i][k]/p
+            for j, bn, bd in nbrs[at:]:
+                v = ri.get(j)
+                if v is None:
+                    num, den = -fn * bn, fd * bd
+                else:
+                    vd = v.denominator
+                    num, den = v.numerator * fd * bd - fn * bn * vd, vd * fd * bd
+                if num:
+                    ri[j] = rows[j][i] = Fraction(num, den)
+                elif v is not None:
+                    del ri[j]
+                    if j != i:
+                        del rows[j][i]
+            if not ri:
+                del rows[i]
+    return pos, neg, n - pos - neg
 
 
 def local_degree(germ: MapGerm | Sequence[Poly]) -> DegreeCertificate:
@@ -296,16 +316,15 @@ def local_degree(germ: MapGerm | Sequence[Poly]) -> DegreeCertificate:
     table = algebra.functional_table(m_star)
     n_cap = algebra._n
     dim = algebra.dim
-    b = [[Fraction(0)] * dim for _ in range(dim)]
+    zero_row = [Fraction(0)] * dim
+    b = [zero_row[:] for _ in range(dim)]
     for i, mi in enumerate(algebra.cobasis):
         for j in range(i, dim):
             prod = monomial_mul(mi, algebra.cobasis[j])
             if sum(prod) < n_cap:
-                v = sign * table[prod]
-            else:
-                v = Fraction(0)
-            b[i][j] = v
-            b[j][i] = v
+                v = table[prod]
+                if v:
+                    b[i][j] = b[j][i] = v if sign > 0 else -v
 
     pos, neg, zero = signature(b)
     if zero:

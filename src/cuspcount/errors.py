@@ -54,7 +54,8 @@ class XiSearchExceededBound(HypothesisError):
 
 
 class InternalInconsistency(CuspCountError):
-    """Computed quantities contradict each other; indicates an upstream bug."""
+    """Computed quantities contradict each other; indicates an upstream bug
+    (CLI exit 3)."""
 
 
 class NegativeBranchCount(InternalInconsistency):

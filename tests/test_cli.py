@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from cuspcount import cli
 from cuspcount.cli import main, render_json, report_to_dict
 from cuspcount.cusp_pipeline import run
+from cuspcount.errors import NegativeBranchCount, PipelineError
 from cuspcount.exprparse import parse_poly
 
 from support import EX1
@@ -48,6 +50,21 @@ def test_hypothesis_failure_exit_code(capsys):
     code, _, err = run_cli(capsys, "analyze", "--f1", "x1", "--f2", "x2")
     assert code == 2
     assert "J(0)" in err
+
+
+def test_internal_error_is_not_a_hypothesis_failure(capsys, monkeypatch):
+    def broken_run(*args, **kwargs):
+        raise PipelineError(
+            "count_branches", NegativeBranchCount("b0 = deg(H+) - deg(H-) = -2")
+        )
+
+    monkeypatch.setattr(cli, "run", broken_run)
+    code, out, err = run_cli(capsys, "analyze", "--f1", EX1[0], "--f2", EX1[1])
+    assert code == 3
+    assert out == ""
+    assert "internal error" in err
+    assert "count_branches" in err
+    assert "b0 = deg(H+) - deg(H-) = -2" in err
 
 
 def test_parse_error_exit_code(capsys):

@@ -94,11 +94,85 @@ def test_signature_examples():
     assert signature([[0, 0, 0]] * 3) == (0, 0, 3)
 
 
+def _zeros(n):
+    return [[Fraction(0)] * n for _ in range(n)]
+
+
 def test_signature_validates_input():
     with pytest.raises(ValueError):
         signature([[0, 1], [2, 0]])
     with pytest.raises(ValueError):
         signature([[0, 1]])
+    # large and sparse: one asymmetric entry, or one row of the wrong length
+    for i, j, back in ((3, 41, 0), (41, 3, 0), (17, 29, 2), (49, 0, -1)):
+        m = _zeros(50)
+        m[i][j] = Fraction(1)
+        m[j][i] = Fraction(back)
+        with pytest.raises(ValueError, match="symmetric"):
+            signature(m)
+    for width in (49, 51):
+        m = _zeros(50)
+        m[7][7] = Fraction(1)
+        m[30] = [Fraction(0)] * width
+        with pytest.raises(ValueError, match="square"):
+            signature(m)
+
+
+def test_signature_path_graph_zero_diagonal():
+    # the path graph's adjacency eigenvalues 2*cos(k*pi/(n+1)) pair off as
+    # +-, with one zero when n is odd
+    for n in range(2, 41):
+        m = _zeros(n)
+        for i in range(n - 1):
+            m[i][i + 1] = m[i + 1][i] = Fraction(1)
+        assert signature(m) == (n // 2, n // 2, n % 2), n
+
+
+def test_signature_hyperbolic_planes_zero_diagonal():
+    # each plane [[0, c], [c, 0]] has eigenvalues +-c
+    rng = random.Random(48)
+    m = _zeros(40)
+    for b in range(20):
+        c = Fraction(rng.choice([-1, 1]) * rng.randint(1, 5), rng.randint(1, 3))
+        m[2 * b][2 * b + 1] = m[2 * b + 1][2 * b] = c
+    assert signature(m) == (20, 20, 0)
+
+
+def test_signature_sparse_congruent_to_singular_diagonal():
+    # P = (permutation) * (sparse unit lower triangular) * H is invertible,
+    # so P*D*P^T has the inertia of D, zeros on D's diagonal included.  H
+    # turns pairs (c, -c) of D into planes [[0, 2c], [2c, 0]], so the zero
+    # diagonal step runs as well.
+    rng = random.Random(49)
+    for _ in range(12):
+        n = rng.randint(30, 60)
+        d, planes = [], []
+        while len(d) < n:
+            c = rng.choice([-2, -1, 0, 1, 3])
+            if c and len(d) < n - 1 and rng.random() < 0.5:
+                planes.append(len(d))
+                d += [c, -c]
+            else:
+                d.append(c)
+        low = _zeros(n)
+        for i in range(n):
+            low[i][i] = Fraction(1)
+            for j in rng.sample(range(i), min(i, 2)):
+                if rng.random() < 0.3:
+                    low[i][j] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+        p = [low[i][:] for i in range(n)]
+        for k in planes:
+            for i in range(n):
+                a, b = low[i][k], low[i][k + 1]
+                p[i][k], p[i][k + 1] = a + b, a - b
+        perm = list(range(n))
+        rng.shuffle(perm)
+        p = [p[perm[i]] for i in range(n)]
+        pd = [[p[i][k] * d[k] for k in range(n)] for i in range(n)]
+        m = [[sum(pd[i][k] * p[j][k] for k in range(n) if p[j][k])
+              for j in range(n)] for i in range(n)]
+        want = (sum(x > 0 for x in d), sum(x < 0 for x in d), d.count(0))
+        assert signature(m) == want
 
 
 def _random_symmetric(rng, n):
