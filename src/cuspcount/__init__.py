@@ -36,7 +36,6 @@ from .polyring import (
     VARS_TX,
     VARS_X,
     jacobian2,
-    jacobian3_det,
     jacobian_det,
     partial,
     set_t_zero,
@@ -75,7 +74,6 @@ __all__ = [
     "derive",
     "euler_extras",
     "jacobian2",
-    "jacobian3_det",
     "jacobian_det",
     "local_degree",
     "parse_poly",

@@ -8,7 +8,7 @@ nilpotent: with N = 1 + (max staircase degree), every monomial of degree >= N
 lies in the localized ideal, so Q is the quotient of the polynomials of
 degree < N by the span of the truncated multiples of the standard basis.
 That description gives exact, canonical coordinates on the staircase basis by
-a straight linear recursion on monomials; no normal-form units are involved.
+one top-down sweep over monomial relations; no normal-form units are involved.
 
 The degree is then the signature of the bilinear form (a, b) -> phi(a*b),
 where phi is any linear functional positive on the class of the Jacobian
@@ -20,6 +20,7 @@ admissible phi.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _iterproduct
@@ -60,8 +61,6 @@ class LocalAlgebra:
         self._n = 1 + max((sum(m) for m in self.cobasis), default=-1)
         self._rows = self._build_rows()
         self._tables: dict[Monomial, dict[Monomial, Fraction]] = {}
-        self._coords_memo: dict[Monomial, tuple[Fraction, ...]] = {}
-        self._mult_table: dict[tuple[int, int], tuple[Fraction, ...]] | None = None
 
     # -- construction --------------------------------------------------------
 
@@ -129,64 +128,40 @@ class LocalAlgebra:
         self._tables[m_star] = table
         return table
 
-    def coords_monomial(self, m: Monomial) -> tuple[Fraction, ...]:
-        """Coordinates of the class of a monomial in the staircase basis."""
-        zero = tuple([Fraction(0)] * self.dim)
-        if sum(m) >= self._n:
-            return zero
-        i = self._index.get(m)
-        if i is not None:
-            return zero[:i] + (Fraction(1),) + zero[i + 1 :]
-        memo = self._coords_memo
-        stack = [m]
-        while stack:
-            top = stack[-1]
-            if top in memo:
-                stack.pop()
-                continue
-            lc, tail = self._rows[top]
-            pending = [
-                mono for mono, _ in tail
-                if mono not in memo and mono not in self._index
-            ]
-            if pending:
-                stack.extend(pending)
-                continue
-            vec = [Fraction(0)] * self.dim
-            for mono, c in tail:
-                j = self._index.get(mono)
-                if j is not None:
-                    vec[j] += c
-                else:
-                    child = memo[mono]
-                    for k in range(self.dim):
-                        if child[k]:
-                            vec[k] += c * child[k]
-            memo[top] = tuple(-v / lc for v in vec)
-            stack.pop()
-        return memo[m]
-
     def coords(self, p: Poly) -> tuple[Fraction, ...]:
-        """Coordinates of the class of p in the staircase basis."""
+        """Coordinates of the class of p in the staircase basis.
+
+        One top-down sweep: terms of degree >= N are dropped, and the
+        largest non-staircase monomial left is replaced by its relation in
+        _rows, whose terms are all smaller, until only staircase monomials
+        remain.
+        """
         if p.vars != self.vars:
             raise ValueError("ambient mismatch")
+        index, rows = self._index, self._rows
+        h = {m: c for m, c in p.terms.items() if sum(m) < self._n}
+        heap = [(monomial_sort_key(m), m) for m in h if m not in index]
+        heapq.heapify(heap)
+        while heap:
+            _, m = heapq.heappop(heap)
+            c = h.pop(m, None)
+            if c is None:
+                continue  # cancelled after it was pushed
+            lc, tail = rows[m]
+            q = c / lc
+            for mono, cc in tail:
+                old = h.get(mono)
+                new = (0 if old is None else old) - q * cc
+                if new:
+                    h[mono] = new
+                    if old is None and mono not in index:
+                        heapq.heappush(heap, (monomial_sort_key(mono), mono))
+                elif old is not None:
+                    del h[mono]
         vec = [Fraction(0)] * self.dim
-        for m, c in p.terms.items():
-            cm = self.coords_monomial(m)
-            for k in range(self.dim):
-                if cm[k]:
-                    vec[k] += c * cm[k]
+        for m, c in h.items():
+            vec[index[m]] = c
         return tuple(vec)
-
-    def mult_table(self) -> dict[tuple[int, int], tuple[Fraction, ...]]:
-        """Coordinates of every product of two staircase basis elements."""
-        if self._mult_table is None:
-            table = {}
-            for i, mi in enumerate(self.cobasis):
-                for j, mj in enumerate(self.cobasis[i:], start=i):
-                    table[(i, j)] = self.coords_monomial(monomial_mul(mi, mj))
-            self._mult_table = table
-        return self._mult_table
 
 
 @dataclass(frozen=True)

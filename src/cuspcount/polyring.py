@@ -325,13 +325,6 @@ def jacobian_det(components: Sequence[Poly]) -> Poly:
     return det
 
 
-def jacobian3_det(germ: MapGerm) -> Poly:
-    """Expanded 3x3 determinant of the derivative matrix of a square 3-germ."""
-    if germ.arity != (3, 3):
-        raise ValueError("jacobian3_det needs a square germ in three variables")
-    return jacobian_det(germ.components)
-
-
 def _require_t_first(p: Poly):
     if not p.vars or p.vars[0] != "t":
         raise ValueError(f"operation needs ambient starting with 't', got {p.vars}")

@@ -5,9 +5,9 @@ means larger monomial, ties broken reverse-lexicographically, so 1 is the
 largest monomial and the order is compatible with multiplication.  Leading
 monomials with respect to this order determine membership and codimension in
 the localization of the polynomial ring at the origin; the ring of analytic
-germs is faithfully flat over that localization, so for polynomial data a
-vanishing normal form is exactly membership in the corresponding ideal of
-germs.
+germs is faithfully flat over that localization, so for polynomial data
+membership in the localized ideal is exactly membership in the corresponding
+ideal of germs.
 
 The basis itself is computed by Lazard's method: each generator is
 homogenized with an auxiliary variable, a Groebner basis is computed for the
@@ -19,12 +19,11 @@ The homogenizing variable is never materialized: a homogeneous polynomial is
 stored as its x-part plus its total degree, the exponent of the auxiliary
 variable being determined by the difference.
 
-Membership queries use Mora's ecart-controlled weak normal form against the
-completed basis.  The weak normal form of p is a polynomial h with
-u*p = (combination of basis elements) + h for some unit u = 1 + (higher
-order) of the local ring; h = 0 if and only if p lies in the localized
-ideal.  Because of the unit, h represents the class of p only up to that
-unit; it is exact, deterministic, and scales linearly with p.
+Membership is decided by comparing lead ideals.  In the local ring an
+inclusion I <= I' of ideals with equal lead ideals L(I) = L(I') is an
+equality, so p lies in I exactly when the standard basis of I + <p> has no
+lead outside L(I).  This needs no normal form and no unit bookkeeping, and
+it treats finite and infinite codimension alike.
 
 Two facts are exploited for speed, both exact:
 
@@ -33,9 +32,9 @@ Two facts are exploited for speed, both exact:
   reduces to zero against it, hence lies in the localized ideal.  From then
   on all polynomials are truncated below degree D; this caps degree and
   coefficient growth and never changes the localized ideal.
-* All basis elements are content-stripped integer polynomials, and working
-  polynomials keep exact rational coefficients, so ``normal_form(c*p) ==
-  c*normal_form(p)`` holds on the nose.
+* All basis elements are content-stripped integer polynomials, so rational
+  coefficients live only inside one reduction and never accumulate in the
+  stored basis.
 """
 
 from __future__ import annotations
@@ -61,12 +60,6 @@ from .polyring import (
 
 #: returned by quotient_dim when the quotient is not finite-dimensional
 INFINITE = inf
-
-#: weak-normal-form budgets before contains() falls back to the exact
-#: ideal-comparison route; the bit cap catches coefficient explosion long
-#: before the step cap would
-_NF_STEP_CAP = 20_000
-_NF_BIT_CAP = 8_000
 
 
 @dataclass(frozen=True)
@@ -267,22 +260,21 @@ def _staircase(
 class _Core:
     """Result of a completed standard-basis computation (dehomogenized)."""
 
-    __slots__ = ("reducers", "trunc", "is_unit", "nvars")
+    __slots__ = ("reducers", "trunc", "is_unit")
 
-    def __init__(self, reducers: list["_Elem"], trunc: int | None, is_unit: bool, nvars: int):
+    def __init__(self, reducers: list["_Elem"], trunc: int | None, is_unit: bool):
         self.reducers = reducers
         self.trunc = trunc
         self.is_unit = is_unit
-        self.nvars = nvars
 
     def leads(self) -> list[Monomial]:
         return [r.lm for r in self.reducers]
 
 
 class _Elem:
-    """A dehomogenized basis element with cached lead data for Mora reduction."""
+    """A dehomogenized basis element with its lead split off."""
 
-    __slots__ = ("lm", "lc", "tail", "ecart", "size", "idx")
+    __slots__ = ("lm", "lc", "tail", "size", "idx")
 
     def __init__(self, terms: dict[Monomial, int], idx: int):
         lm = min(terms, key=monomial_sort_key)
@@ -292,7 +284,6 @@ class _Elem:
             ((m, c) for m, c in terms.items() if m != lm),
             key=lambda t: monomial_sort_key(t[0]),
         ))
-        self.ecart = max(sum(m) for m in terms) - sum(lm)
         self.size = 1 + len(self.tail)
         self.idx = idx
 
@@ -351,7 +342,7 @@ def _complete(gens: list[dict[Monomial, int]], nvars: int) -> _Core:
     for g in gens:
         d = max(sum(m) for m in g)
         if add(g, d):
-            return _Core([_Elem({zero_mono: 1}, 0)], 0, True, nvars)
+            return _Core([_Elem({zero_mono: 1}, 0)], 0, True)
 
     while pairs:
         _, i, j = heapq.heappop(pairs)
@@ -388,7 +379,7 @@ def _complete(gens: list[dict[Monomial, int]], nvars: int) -> _Core:
         if not nf:
             continue
         if add(nf, d_sp):
-            return _Core([_Elem({zero_mono: 1}, 0)], 0, True, nvars)
+            return _Core([_Elem({zero_mono: 1}, 0)], 0, True)
 
     # dehomogenize; keep only elements with minimal lead monomials
     final = [e for e, a in zip(elems, alive) if a]
@@ -412,89 +403,7 @@ def _complete(gens: list[dict[Monomial, int]], nvars: int) -> _Core:
             ):
                 terms_list.append({mono: 1})
     reducers = [_Elem(t, n) for n, t in enumerate(terms_list)]
-    return _Core(reducers, trunc, False, nvars)
-
-
-# ---------------------------------------------------------------------------
-# Mora weak normal form (membership against a completed basis)
-# ---------------------------------------------------------------------------
-
-
-class _NFBudgetExceeded(Exception):
-    pass
-
-
-def _pick_reducer(reducers: list[_Elem], m: Monomial) -> _Elem | None:
-    best = None
-    for r in reducers:
-        if monomial_divides(r.lm, m):
-            if best is None or (r.ecart, r.size, r.idx) < (best.ecart, best.size, best.idx):
-                best = r
-    return best
-
-
-def _weak_nf(
-    p_terms: dict, reducers: list[_Elem], trunc: int | None,
-    step_cap: int | None = None, bit_cap: int | None = None,
-) -> dict[Monomial, Fraction]:
-    """Mora weak normal form of p against the given reducers.
-
-    Coefficients of the input may be int or Fraction; the result is exact and
-    scales linearly with the input (no internal rescaling of the remainder).
-    Raises _NFBudgetExceeded when a step or coefficient-size cap is hit.
-    """
-    h: dict[Monomial, Fraction] = {}
-    lead_heap: list[tuple] = []
-    deg_heap: list[tuple[int, Monomial]] = []
-    for m, c in p_terms.items():
-        if trunc is not None and sum(m) >= trunc:
-            continue
-        h[m] = Fraction(c)
-        heapq.heappush(lead_heap, (monomial_sort_key(m), m))
-        heapq.heappush(deg_heap, (-sum(m), m))
-    local = list(reducers)
-    steps = 0
-
-    while lead_heap:
-        _, m = heapq.heappop(lead_heap)
-        c = h.get(m)
-        if c is None:
-            continue
-        red = _pick_reducer(local, m)
-        if red is None:
-            return h
-        steps += 1
-        if step_cap is not None and steps > step_cap:
-            raise _NFBudgetExceeded
-        if bit_cap is not None and (
-            c.numerator.bit_length() + c.denominator.bit_length() > bit_cap
-        ):
-            raise _NFBudgetExceeded
-        # current max degree of h, for the ecart comparison
-        while deg_heap and deg_heap[0][1] not in h:
-            heapq.heappop(deg_heap)
-        ecart_h = (-deg_heap[0][0] if deg_heap else sum(m)) - sum(m)
-        if red.ecart > ecart_h:
-            frozen = _primitive(_int_snapshot(h))
-            local.append(_Elem(frozen, len(local)))
-        q = c / red.lc
-        del h[m]
-        w = monomial_div(m, red.lm)
-        for mono, cc in red.tail:
-            mm = monomial_mul(mono, w)
-            if trunc is not None and sum(mm) >= trunc:
-                continue
-            old = h.get(mm)
-            new = (old if old is not None else Fraction(0)) - q * cc
-            if new == 0:
-                if old is not None:
-                    del h[mm]
-            else:
-                h[mm] = new
-                if old is None:
-                    heapq.heappush(lead_heap, (monomial_sort_key(mm), mm))
-                    heapq.heappush(deg_heap, (-sum(mm), mm))
-    return {}
+    return _Core(reducers, trunc, False)
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +440,7 @@ class LocalIdeal:
                     gens = [_to_int_terms(g) for g in self.generators]
                     gens = [g for g in gens if g]
                     if not gens:
-                        self._core = _Core([], None, False, len(self.vars))
+                        self._core = _Core([], None, False)
                     else:
                         self._core = _complete(gens, len(self.vars))
         return self._core
@@ -553,56 +462,26 @@ class LocalIdeal:
         """Degree D with m^D inside the localized ideal, when one was found."""
         return self._ensure_core().trunc
 
-    def normal_form(self, p: Poly) -> Poly:
-        """Mora weak normal form; zero exactly when p is in the localized ideal.
-
-        The result represents u*p modulo the ideal for some unit
-        u = 1 + (higher order); it is not in general the class of p itself.
-        """
-        if p.vars != self.vars:
-            raise ValueError("ambient mismatch")
-        core = self._ensure_core()
-        if core.is_unit:
-            return Poly.zero(self.vars)
-        nf = _weak_nf(p.terms, core.reducers, core.trunc)
-        return Poly(self.vars, nf)
-
     def contains(self, p: Poly) -> bool:
-        """Exact membership of p in the localized ideal.
+        """Exact membership of p in the localized ideal I.
 
-        Tries the weak normal form under a step budget; degenerate reduction
-        chains fall back to comparing the ideal with the ideal augmented by
-        p, which is decided by lead-ideal data alone.
+        Completes I + <p> and compares lead ideals: p lies in I exactly when
+        every lead of I + <p> is divisible by a lead of I.  No case needs
+        its own branch: a unit I + <p> has the lead 1, which no lead of a
+        proper I divides, and when I has a truncation degree its leads
+        cover every monomial of that degree.
         """
         if p.vars != self.vars:
             raise ValueError("ambient mismatch")
-        if p.is_zero():
-            return True
         core = self._ensure_core()
         if core.is_unit:
             return True
-        try:
-            nf = _weak_nf(
-                p.terms, core.reducers, core.trunc,
-                step_cap=_NF_STEP_CAP, bit_cap=_NF_BIT_CAP,
-            )
-            return not nf
-        except _NFBudgetExceeded:
-            pass
-        bigger = LocalIdeal(list(self.generators) + [p])
-        dim = self.quotient_dim()
-        if dim != INFINITE:
-            return bigger.quotient_dim() == dim
-        bcore = bigger._ensure_core()
-        if bcore.is_unit:
-            return False
-        mine = self.lead_monomials
-        for lead in bcore.leads():
-            if core.trunc is not None and sum(lead) >= core.trunc:
-                continue
-            if not any(monomial_divides(lm, lead) for lm in mine):
-                return False
-        return True
+        mine = core.leads()
+        bigger = LocalIdeal(list(self.generators) + [p])._ensure_core()
+        return all(
+            any(monomial_divides(lm, lead) for lm in mine)
+            for lead in bigger.leads()
+        )
 
     def _staircase_monomials(self) -> list[Monomial] | None:
         if not self._staircase_done:
@@ -628,21 +507,3 @@ class LocalIdeal:
                 f"ideal in {self.vars} has infinite codimension"
             )
         return Cobasis(tuple(sorted(st, key=monomial_sort_key)))
-
-
-# Function-style aliases; the methods above do the work.
-
-def std_basis(ideal: LocalIdeal) -> tuple[Poly, ...]:
-    return ideal.std_basis
-
-
-def normal_form(p: Poly, ideal: LocalIdeal) -> Poly:
-    return ideal.normal_form(p)
-
-
-def quotient_dim(ideal: LocalIdeal):
-    return ideal.quotient_dim()
-
-
-def cobasis(ideal: LocalIdeal) -> Cobasis:
-    return ideal.cobasis()

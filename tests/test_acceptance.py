@@ -262,7 +262,7 @@ def test_criterion_5_standard_basis_suite():
             combo = Poly.zero(vars)
             for g in gens:
                 combo = combo + random_poly(rng, vars, max_deg=2, n_terms=2) * g
-            assert ideal.normal_form(combo).is_zero()
+            assert ideal.contains(combo)
 
 
 def _negate_vars(p, flip_x):

@@ -1,9 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
+from cuspcount.branch_counter import build_H
+from cuspcount.cusp_pipeline import derive
 from cuspcount.elk_degree import (
     DegreeCertificate,
     build_algebra,
@@ -14,16 +17,18 @@ from cuspcount.errors import DegenerateJacobianClass, NotAlgebraicallyIsolated
 from cuspcount.exprparse import parse_poly
 from cuspcount.polyring import (
     MapGerm,
+    Poly,
     VARS_TX,
     VARS_X,
     jacobian2,
     monomial_mul,
     partial,
     set_t_zero,
+    substitute_t_squared,
 )
 
 from oracle import germ_is_oracle_friendly, preimage_degree, winding_degree
-from support import EX1, random_origin_poly
+from support import CRAFTED_FAMILIES, EX1, random_origin_poly
 
 
 def p2(text):
@@ -65,24 +70,65 @@ def test_algebra_coords_are_linear():
         assert lhs == rhs
 
 
+def _mono(m, vars=VARS_X):
+    return Poly(vars, {m: Fraction(1)})
+
+
 def test_algebra_mult_table_properties():
     a = build_algebra([p2("x1^2 - x2^3"), p2("x1*x2")])
-    table = a.mult_table()
-    one = a.cobasis.index((0, 0))
+
+    def times(*ms):
+        prod = (0, 0)
+        for m in ms:
+            prod = monomial_mul(prod, m)
+        return a.coords(_mono(prod))
+
     for i, m in enumerate(a.cobasis):
-        key = (min(one, i), max(one, i))
-        expected = tuple(
-            Fraction(1 if j == i else 0) for j in range(a.dim)
-        )
-        assert table[key] == expected
-    # spot-check associativity via coords of triple products
-    rng = random.Random(42)
-    for _ in range(10):
-        i, j, k = (rng.randrange(a.dim) for _ in range(3))
-        mi, mj, mk = a.cobasis[i], a.cobasis[j], a.cobasis[k]
-        left = a.coords_monomial(monomial_mul(monomial_mul(mi, mj), mk))
-        right = a.coords_monomial(monomial_mul(mi, monomial_mul(mj, mk)))
-        assert left == right
+        unit = tuple(Fraction(1 if j == i else 0) for j in range(a.dim))
+        assert times((0, 0), m) == times(m) == unit
+    for mi in a.cobasis:
+        for mj in a.cobasis:
+            assert times(mi, mj) == times(mj, mi)
+            for mk in a.cobasis:
+                # (mi*mj)*mk, reduced through the class of mi*mj, agrees
+                # with mi*(mj*mk), reduced through the class of mj*mk
+                left = Poly.zero(VARS_X)
+                for c, mb in zip(times(mi, mj), a.cobasis):
+                    left = left + _mono(monomial_mul(mb, mk)) * c
+                right = Poly.zero(VARS_X)
+                for c, mb in zip(times(mj, mk), a.cobasis):
+                    right = right + _mono(monomial_mul(mi, mb)) * c
+                assert a.coords(left) == a.coords(right) == times(mi, mj, mk)
+
+
+def _assert_sweeps_are_dual(algebra):
+    """coords (primal sweep) and functional_table (dual recursion) agree on
+    every monomial below the nilpotency degree."""
+    n = algebra._n
+    nv = len(algebra.vars)
+    monos = [m for m in product(range(n), repeat=nv) if sum(m) < n]
+    tables = [algebra.functional_table(b) for b in algebra.cobasis]
+    for m in monos:
+        vec = algebra.coords(_mono(m, algebra.vars))
+        assert vec == tuple(table[m] for table in tables), m
+
+
+def test_coords_dual_to_functional_tables_ex1():
+    d = derive(p3(EX1[0]), p3(EX1[1]))
+    dims = []
+    for germ in (d.f0, d.d1, d.d2):
+        algebra = build_algebra(germ)
+        dims.append(algebra.dim)
+        _assert_sweeps_are_dual(algebra)
+    assert dims == [5, 1, 3]
+
+
+def test_coords_dual_to_functional_tables_large_H():
+    d = derive(p3(CRAFTED_FAMILIES[0][0]), p3(CRAFTED_FAMILIES[0][1]))
+    g1, g2, g3 = (substitute_t_squared(g) for g in (d.F1, d.F2, d.J))
+    algebra = build_algebra(build_H(g1, g2, g3, 6, +1))
+    assert algebra.dim >= 50
+    _assert_sweeps_are_dual(algebra)
 
 
 # -- signature --------------------------------------------------------------

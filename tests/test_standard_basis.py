@@ -4,17 +4,11 @@ from itertools import product
 
 import pytest
 
+from cuspcount.elk_degree import build_algebra
 from cuspcount.errors import DimensionInfinite
 from cuspcount.exprparse import parse_poly
 from cuspcount.polyring import Poly, VARS_TX, VARS_X, jacobian2
-from cuspcount.standard_basis import (
-    INFINITE,
-    LocalIdeal,
-    cobasis,
-    normal_form,
-    quotient_dim,
-    std_basis,
-)
+from cuspcount.standard_basis import INFINITE, LocalIdeal
 
 from support import EX1, random_origin_poly, random_poly
 
@@ -68,9 +62,10 @@ def test_worked_family_staircase_size():
 
 def test_normal_form_unit_ideal_cases():
     ideal = LocalIdeal([p("x - x^2", ("x",))])
-    assert normal_form(p("x", ("x",)), ideal).is_zero()
+    assert ideal.contains(p("x", ("x",)))
     m = LocalIdeal([p("x1", VARS_X), p("x2", VARS_X)])
-    assert normal_form(p("1", VARS_X), m) == p("1", VARS_X)
+    assert not m.contains(p("1", VARS_X))
+    assert not m.contains(p("1 + x1", VARS_X))
 
 
 def test_membership_exponent_worked_family():
@@ -78,9 +73,7 @@ def test_membership_exponent_worked_family():
     t = Poly.variable("t", VARS_TX)
     j2 = LocalIdeal([F1, F2, J * J])
     assert not j2.contains(t * J)
-    assert not normal_form(t * J, j2).is_zero()
     assert j2.contains(t * t * J)
-    assert normal_form(t * t * J, j2).is_zero()
 
 
 def test_quotient_dim_monomial_staircase():
@@ -103,22 +96,22 @@ def test_quotient_dim_infinite():
 
 
 def test_cobasis_examples():
-    assert cobasis(LocalIdeal([p("x1", VARS_X), p("x2", VARS_X)])).monomials == ((0, 0),)
-    cb = cobasis(LocalIdeal([p("x1^2", VARS_X), p("x2^2", VARS_X)]))
+    assert LocalIdeal([p("x1", VARS_X), p("x2", VARS_X)]).cobasis().monomials == ((0, 0),)
+    cb = LocalIdeal([p("x1^2", VARS_X), p("x2^2", VARS_X)]).cobasis()
     assert set(cb.monomials) == {(0, 0), (1, 0), (0, 1), (1, 1)}
     assert cb.monomials[0] == (0, 0)
 
 
 def test_cobasis_infinite_raises():
     with pytest.raises(DimensionInfinite):
-        cobasis(LocalIdeal([p("x1", VARS_X)]))
+        LocalIdeal([p("x1", VARS_X)]).cobasis()
 
 
 def test_cobasis_size_matches_independent_enumeration():
     _, _, J, F1, F2 = ex1_data()
     t = Poly.variable("t", VARS_TX)
     q = LocalIdeal([t, J, F1, F2])
-    cb = cobasis(q)
+    cb = q.cobasis()
     leads = list(q.lead_monomials)
     if q.truncation_degree is not None:
         d = q.truncation_degree
@@ -153,17 +146,66 @@ def test_normal_form_vanishes_on_explicit_combinations():
         combo = Poly.zero(vars)
         for g in gens:
             combo = combo + random_poly(rng, vars, max_deg=2, n_terms=2) * g
-        assert normal_form(combo, ideal).is_zero(), (gens, combo)
+        assert ideal.contains(combo), (gens, combo)
 
 
-def test_normal_form_scales_linearly():
-    rng = random.Random(33)
-    for _ in range(20):
-        gens = [random_origin_poly(rng, VARS_X, max_deg=2, n_terms=3) for _ in range(2)]
+def _zero_dim_ideal(rng, vars):
+    """Pure powers of every variable plus random tails; the codimension may
+    still come out infinite, so callers check."""
+    gens = []
+    for v in range(len(vars)):
+        power = Poly(vars, {tuple(rng.randint(1, 3) if i == v else 0
+                                  for i in range(len(vars))): Fraction(1)})
+        gens.append(power + random_origin_poly(rng, vars, max_deg=3, n_terms=2))
+    return gens
+
+
+def test_membership_agrees_with_algebra_coordinates():
+    # contains() completes I + <q>; the coordinate sweep reduces q in the
+    # local algebra of I: q is a member exactly when its class is zero
+    rng = random.Random(36)
+    verdicts = []
+    tried = 0
+    while len(verdicts) < 120:
+        vars = (VARS_X, VARS_TX)[tried % 2]
+        tried += 1
+        gens = _zero_dim_ideal(rng, vars)
         ideal = LocalIdeal(gens)
-        q = random_poly(rng, VARS_X, rational=True)
-        c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
-        assert normal_form(q * c, ideal) == normal_form(q, ideal) * c
+        if ideal.quotient_dim() == INFINITE:
+            continue
+        algebra = build_algebra(gens)
+        for _ in range(4):
+            q = random_poly(rng, vars, max_deg=3, n_terms=3)
+            if rng.random() < 0.5:
+                for g in gens:
+                    q = q + random_poly(rng, vars, max_deg=2, n_terms=2) * g
+            member = ideal.contains(q)
+            assert member == (not any(algebra.coords(q))), (gens, q)
+            verdicts.append(member)
+    assert 0.2 < sum(verdicts) / len(verdicts) < 0.8
+
+
+def test_membership_infinite_codimension():
+    rng = random.Random(37)
+    t = Poly.variable("t", VARS_TX)
+    flips = 0
+    for _ in range(25):
+        g2 = random_origin_poly(rng, VARS_TX, max_deg=2, n_terms=3)
+        g3 = random_origin_poly(rng, VARS_TX, max_deg=2, n_terms=3)
+        k = rng.randint(1, 3)
+        # t^k * g3 = g1 - c*g2 is planted in the ideal
+        g1 = t**k * g3 + g2 * rng.choice((-2, -1, 1, 2))
+        ideal = LocalIdeal([g1, g2])
+        assert ideal.quotient_dim() == INFINITE
+        combo = (random_poly(rng, VARS_TX, max_deg=2, n_terms=2) * g1
+                 + random_poly(rng, VARS_TX, max_deg=2, n_terms=2) * g2)
+        assert ideal.contains(combo), (g1, g2, combo)
+        # the scan in compute_xi stops at the first s with t^s * g3 inside
+        scan = [ideal.contains(t**s * g3) for s in range(k + 2)]
+        assert scan == sorted(scan), (g1, g2, g3, scan)
+        assert scan[k]
+        flips += not scan[0]
+    assert flips >= 15
 
 
 def test_membership_is_class_invariant():
@@ -202,12 +244,12 @@ def test_std_basis_deterministic_and_cached():
     t = Poly.variable("t", VARS_TX)
     a = LocalIdeal([t, f1, f2])
     b = LocalIdeal([t, f1, f2])
-    assert std_basis(a) == std_basis(b)
-    assert std_basis(a) is std_basis(a) or std_basis(a) == std_basis(a)
+    assert a.std_basis == b.std_basis
+    assert a._ensure_core() is a._ensure_core()
 
 
 def test_unit_ideal():
     ideal = LocalIdeal([p("1 + x1", VARS_X)])
-    assert quotient_dim(ideal) == 0
-    assert cobasis(ideal).monomials == ()
+    assert ideal.quotient_dim() == 0
+    assert ideal.cobasis().monomials == ()
     assert ideal.contains(p("x1", VARS_X))
