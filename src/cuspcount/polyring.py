@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import InitVar, dataclass
 from fractions import Fraction
 from itertools import permutations
+from operator import add, le, sub
 from typing import Mapping, Sequence
 
 Monomial = tuple[int, ...]
@@ -31,21 +32,21 @@ def monomial_degree(m: Monomial) -> int:
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def monomial_divides(a: Monomial, b: Monomial) -> bool:
     """True when a | b, i.e. every exponent of a is <= that of b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def monomial_div(a: Monomial, b: Monomial) -> Monomial:
     """a / b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def monomial_sort_key(m: Monomial):

@@ -32,9 +32,12 @@ Two facts are exploited for speed, both exact:
   reduces to zero against it, hence lies in the localized ideal.  From then
   on all polynomials are truncated below degree D; this caps degree and
   coefficient growth and never changes the localized ideal.
-* All basis elements are content-stripped integer polynomials, so rational
-  coefficients live only inside one reduction and never accumulate in the
-  stored basis.
+* All basis elements are content-stripped integer polynomials, and
+  reduction is fraction-free: it multiplies by a reducer's lead coefficient
+  instead of dividing by it, so completion does no rational arithmetic.
+* The staircase, and with it the truncation degree, is recomputed only when
+  a new lead is divisible by no lead already in the basis; any other lead
+  leaves the lead ideal as it was.
 """
 
 from __future__ import annotations
@@ -100,13 +103,6 @@ def _to_int_terms(p: Poly) -> dict[Monomial, int]:
     for c in p.terms.values():
         den = den * c.denominator // gcd(den, c.denominator)
     return _primitive({m: int(c * den) for m, c in p.terms.items()})
-
-
-def _int_snapshot(h: dict[Monomial, Fraction]) -> dict[Monomial, int]:
-    den = 1
-    for c in h.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    return {m: int(c * den) for m, c in h.items()}
 
 
 def _truncate(terms: dict[Monomial, int], trunc: int | None) -> dict[Monomial, int]:
@@ -182,47 +178,54 @@ def _hreduce(
 
     A term x^m (implicit homogenizer exponent d_p - |m|) is reducible by r
     when r's lead x-part divides m and r's lead homogenizer exponent fits,
-    i.e. r.a <= d_p - |m|.  The order is global, so plain top-down reduction
-    terminates; the result is primitive integer.
+    i.e. r.a <= d_p - |m|; among those, the shortest (then oldest) r is
+    used.  The order is global, so plain top-down reduction terminates.
+    The reduction is fraction-free: where a step would divide by r's lead
+    coefficient, everything is multiplied by it instead, so coefficients
+    stay integers and only their common scale differs from the rational
+    reduction.  The result is primitive integer, which removes that scale.
     """
-    h: dict[Monomial, Fraction] = {}
+    reducers = sorted(basis, key=lambda r: (r.size, r.idx))
+    h: dict[Monomial, int] = {}
     heap: list[tuple] = []
     for m, c in p_terms.items():
         if trunc is not None and sum(m) >= trunc:
             continue
-        h[m] = Fraction(c)
+        h[m] = c
         heapq.heappush(heap, (monomial_sort_key(m), m))
-    out: dict[Monomial, Fraction] = {}
+    out: dict[Monomial, int] = {}
     while heap:
         _, m = heapq.heappop(heap)
         c = h.pop(m, None)
         if c is None:
             continue
         hexp = d_p - sum(m)
-        red = None
-        for r in basis:
-            if r.a <= hexp and monomial_divides(r.lm, m):
-                if red is None or (r.size, r.idx) < (red.size, red.idx):
-                    red = r
+        red = next(
+            (r for r in reducers if r.a <= hexp and monomial_divides(r.lm, m)), None
+        )
         if red is None:
             out[m] = c
             continue
-        q = c / red.lc
+        g = gcd(c, red.lc)
+        scale, q = red.lc // g, c // g
+        if scale != 1:
+            h = {mm: cc * scale for mm, cc in h.items()}
+            out = {mm: cc * scale for mm, cc in out.items()}
         w = monomial_div(m, red.lm)
         for mono, cc in red.tail:
             mm = monomial_mul(mono, w)
             if trunc is not None and sum(mm) >= trunc:
                 continue
+            d = q * cc
             old = h.get(mm)
-            new = (old if old is not None else Fraction(0)) - q * cc
-            if new == 0:
-                if old is not None:
-                    del h[mm]
+            if old is None:
+                h[mm] = -d
+                heapq.heappush(heap, (monomial_sort_key(mm), mm))
+            elif old == d:
+                del h[mm]
             else:
-                h[mm] = new
-                if old is None:
-                    heapq.heappush(heap, (monomial_sort_key(mm), mm))
-    return _primitive(_int_snapshot(out))
+                h[mm] = old - d
+    return _primitive(out)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +236,12 @@ def _hreduce(
 def _staircase(
     leads: Sequence[Monomial], nvars: int, trunc: int | None
 ) -> list[Monomial] | None:
-    """Monomials under the staircase, or None when there are infinitely many."""
+    """Monomials under the staircase, or None when there are infinitely many.
+
+    For each exponent prefix of all variables but the last, the monomials
+    under the staircase are the prefix with a last exponent below that of
+    every lead whose prefix divides it.
+    """
     bounds: list[int] = []
     for v in range(nvars):
         cands = [m[v] for m in leads if m[v] > 0 and sum(m) == m[v]]
@@ -243,12 +251,14 @@ def _staircase(
             return None
         bounds.append(min(cands))
     out: list[Monomial] = []
-    for mono in _iterproduct(*(range(b) for b in bounds)):
-        if trunc is not None and sum(mono) >= trunc:
-            continue
-        if any(monomial_divides(lm, mono) for lm in leads):
-            continue
-        out.append(mono)
+    for prefix in _iterproduct(*(range(b) for b in bounds[:-1])):
+        top = bounds[-1]
+        if trunc is not None:
+            top = min(top, trunc - sum(prefix))
+        for lm in leads:
+            if lm[-1] < top and monomial_divides(lm[:-1], prefix):
+                top = lm[-1]
+        out.extend(prefix + (k,) for k in range(top))
     return out
 
 
@@ -334,9 +344,14 @@ def _complete(gens: list[dict[Monomial, int]], nvars: int) -> _Core:
             lcm_x = monomial_lcm(e.lm, other.lm)
             key = (max(e.a, other.a) + sum(lcm_x), monomial_sort_key(lcm_x))
             heapq.heappush(pairs, (key, j, e.idx))
+        # a lead divisible by an alive lead leaves the staircase as it is
+        moves_staircase = not any(
+            a and monomial_divides(other.lm, e.lm) for other, a in zip(elems, alive)
+        )
         elems.append(e)
         alive.append(True)
-        refresh_truncation()
+        if moves_staircase:
+            refresh_truncation()
         return False
 
     for g in gens:

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
@@ -8,7 +9,8 @@ from cuspcount.elk_degree import build_algebra
 from cuspcount.errors import DimensionInfinite
 from cuspcount.exprparse import parse_poly
 from cuspcount.polyring import Poly, VARS_TX, VARS_X, jacobian2
-from cuspcount.standard_basis import INFINITE, LocalIdeal
+from cuspcount.polyring import monomial_divides, monomial_sort_key
+from cuspcount.standard_basis import INFINITE, LocalIdeal, _HElem, _hreduce, _staircase
 
 from support import EX1, random_origin_poly, random_poly
 
@@ -134,6 +136,82 @@ def test_staircase_oracle_random_monomial_ideals():
         gens = [Poly(vars, {m: Fraction(1)}) for m in monos]
         ideal = LocalIdeal(gens)
         assert ideal.quotient_dim() == brute_staircase_count(monos, nvars), monos
+
+
+def test_staircase_with_truncation_matches_enumeration():
+    rng = random.Random(35)
+    for trial in range(300):
+        nvars = rng.choice((1, 2, 3))
+        leads = [tuple(rng.randint(0, 4) for _ in range(nvars))
+                 for _ in range(rng.randint(0, 6))]
+        leads = [m for m in leads if sum(m) > 0]
+        trunc = rng.choice((None, rng.randint(1, 8)))
+        got = _staircase(leads, nvars, trunc)
+        if trunc is None and brute_staircase_count(leads, nvars) == INFINITE:
+            assert got is None, (leads, trunc)
+            continue
+        side = trunc if trunc is not None else 9
+        expected = [
+            mono for mono in product(range(side), repeat=nvars)
+            if (trunc is None or sum(mono) < trunc)
+            and not any(all(g[i] <= mono[i] for i in range(nvars)) for g in leads)
+        ]
+        assert sorted(got) == expected, (leads, trunc)
+
+
+def rational_hreduce(d_p, p_terms, basis):
+    """Top-down reduction dividing by lead coefficients, reducer chosen as in
+    _hreduce (shortest, then oldest); returned primitive with a positive lead."""
+    h = {m: Fraction(c) for m, c in p_terms.items()}
+    out = {}
+    while h:
+        m = min(h, key=monomial_sort_key)
+        c = h.pop(m)
+        fits = [r for r in basis
+                if r.a <= d_p - sum(m) and monomial_divides(r.lm, m)]
+        if not fits:
+            out[m] = c
+            continue
+        r = min(fits, key=lambda r: (r.size, r.idx))
+        w = tuple(a - b for a, b in zip(m, r.lm))
+        for mono, cc in r.tail:
+            mm = tuple(a + b for a, b in zip(mono, w))
+            h[mm] = h.get(mm, 0) - c / r.lc * cc
+            if h[mm] == 0:
+                del h[mm]
+    if not out:
+        return {}
+    lead = out[min(out, key=monomial_sort_key)]
+    scaled = {m: c / lead for m, c in out.items()}
+    den = 1
+    for c in scaled.values():
+        den = den * c.denominator // gcd(den, c.denominator)
+    return {m: int(c * den) for m, c in scaled.items()}
+
+
+def test_fraction_free_reduction_matches_rational_reduction():
+    rng = random.Random(36)
+    nonzero = 0
+    for trial in range(200):
+        nvars = rng.choice((2, 3))
+
+        def terms(n):
+            out = {}
+            for _ in range(n):
+                m = tuple(rng.randint(0, 3) for _ in range(nvars))
+                out[m] = rng.choice((-6, -4, -3, -2, -1, 1, 2, 3, 5, 9))
+            return out
+
+        basis = []
+        for idx in range(rng.randint(1, 5)):
+            t = terms(rng.randint(1, 4))
+            basis.append(_HElem(t, max(map(sum, t)) + rng.randint(0, 2), idx))
+        p_terms = terms(rng.randint(1, 6))
+        d_p = max(map(sum, p_terms)) + rng.randint(0, 3)
+        got = _hreduce(d_p, p_terms, basis, None)
+        assert got == rational_hreduce(d_p, p_terms, basis), (basis, p_terms)
+        nonzero += bool(got)
+    assert nonzero > 100
 
 
 def test_normal_form_vanishes_on_explicit_combinations():
