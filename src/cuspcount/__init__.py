@@ -41,14 +41,13 @@ from .polyring import (
     set_t_zero,
     substitute_t_squared,
 )
-from .standard_basis import INFINITE, Cobasis, LocalIdeal
+from .standard_basis import INFINITE, LocalIdeal
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BifurcationReport",
     "BranchCount",
-    "Cobasis",
     "CuspCountError",
     "DegreeCertificate",
     "DerivedGerms",

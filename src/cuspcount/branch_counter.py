@@ -50,7 +50,6 @@ class GenericCombination:
     g2: Poly
     g3: Poly
     identity_choice: bool
-    verified: bool = True
 
 
 @dataclass(frozen=True)

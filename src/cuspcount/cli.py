@@ -16,7 +16,7 @@ import json
 import sys
 from dataclasses import asdict
 
-from .branch_counter import DEFAULT_MATRIX_ATTEMPTS, DEFAULT_XI_CAP
+from .branch_counter import DEFAULT_XI_CAP
 from .cusp_pipeline import BifurcationReport, run
 from .errors import CuspCountError, HypothesisError, ParseError, PipelineError
 from .exprparse import EXPONENT_CAP, parse_poly
@@ -146,13 +146,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--input", help="read f1, f2 and optionally seed from a key=value file"
     )
     analyze.add_argument("--seed", type=int, default=0,
-                         help="seed for the fallback combination search")
+                         help="seed echoed in the report; the verified "
+                              "hypotheses make the identity combination "
+                              "valid, so no random draw uses it")
     analyze.add_argument("--json", action="store_true",
                          help="emit the report as JSON")
     analyze.add_argument("--xi-cap", type=int, default=DEFAULT_XI_CAP,
                          help="bound for the membership exponent search")
-    analyze.add_argument("--attempts", type=int, default=DEFAULT_MATRIX_ATTEMPTS,
-                         help="bound for random combination attempts")
     analyze.add_argument("-v", "--verbose", action="store_true",
                          help="echo progress to stderr")
     return parser
@@ -162,6 +162,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.xi_cap < 0:
+            parser.error(f"argument --xi-cap: must be >= 0, got {args.xi_cap}")
     except SystemExit as e:
         # argparse exits 2 on usage errors; the contract here is exit 1
         return 0 if e.code == 0 else 1
@@ -186,9 +188,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.verbose:
         print(f"analyzing f = ({f1}, {f2})", file=sys.stderr)
     try:
-        report = run(
-            f1, f2, seed=seed, xi_cap=args.xi_cap, matrix_attempts=args.attempts
-        )
+        report = run(f1, f2, seed=seed, xi_cap=args.xi_cap)
     except PipelineError as e:
         if isinstance(e.cause, HypothesisError):
             print(f"analysis failed: {e}", file=sys.stderr)

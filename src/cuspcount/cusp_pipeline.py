@@ -29,7 +29,6 @@ from .branch_counter import (
     count_branches,
     count_branches_positive_t,
     curve_criterion_ideal,
-    DEFAULT_MATRIX_ATTEMPTS,
     DEFAULT_XI_CAP,
 )
 from .elk_degree import local_degree
@@ -248,8 +247,6 @@ def run(
     f2: Poly,
     seed: int = 0,
     xi_cap: int = DEFAULT_XI_CAP,
-    matrix_attempts: int = DEFAULT_MATRIX_ATTEMPTS,
-    force_random_combination: bool = False,
 ) -> BifurcationReport:
     """Run the whole pipeline; every stage's error is tagged with its name."""
 
@@ -273,8 +270,7 @@ def run(
     combo = stage(
         "choose_combination", choose_combination,
         derived.J, derived.F1, derived.F2,
-        rng_seed=seed, max_attempts=matrix_attempts,
-        force_random=force_random_combination,
+        rng_seed=seed,
         identity_criterion_ideal=derived.I_dblprime,
         identity_cond3_dim=hyp.dim_t_F1_F2,
     )

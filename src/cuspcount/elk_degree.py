@@ -7,6 +7,7 @@ the ideal of components.  When Q is finite-dimensional its maximal ideal is
 nilpotent: with N = 1 + (max staircase degree), every monomial of degree >= N
 lies in the localized ideal, so Q is the quotient of the polynomials of
 degree < N by the span of the truncated multiples of the standard basis.
+The staircase and N are both handed over by the standard-basis completion.
 That description gives exact, canonical coordinates on the staircase basis by
 one top-down sweep over monomial relations; no normal-form units are involved.
 
@@ -36,6 +37,8 @@ from .polyring import (
     Monomial,
     Poly,
     jacobian_det,
+    monomial_div,
+    monomial_divides,
     monomial_mul,
     monomial_sort_key,
 )
@@ -44,60 +47,50 @@ from .standard_basis import INFINITE, LocalIdeal
 
 class LocalAlgebra:
     """Finite-dimensional local algebra of a square germ, with exact
-    coordinates relative to its staircase basis."""
+    coordinates relative to its staircase basis.
+
+    The staircase basis and the truncation degree N are the ones the
+    standard-basis completion of the ideal hands over.
+    """
 
     def __init__(self, ideal: LocalIdeal):
-        dim = ideal.quotient_dim()
-        if dim == INFINITE:
+        if ideal.quotient_dim() == INFINITE:
             raise NotAlgebraicallyIsolated(
                 "the germ's zero is not algebraically isolated "
                 "(local algebra is infinite-dimensional)"
             )
-        self.ideal = ideal
         self.vars = ideal.vars
-        self.cobasis: tuple[Monomial, ...] = ideal.cobasis().monomials
-        self.dim: int = int(dim)
+        self.cobasis: tuple[Monomial, ...] = ideal.cobasis()
+        self.dim: int = len(self.cobasis)
         self._index = {m: i for i, m in enumerate(self.cobasis)}
-        self._n = 1 + max((sum(m) for m in self.cobasis), default=-1)
-        self._rows = self._build_rows()
-        self._tables: dict[Monomial, dict[Monomial, Fraction]] = {}
+        self._n: int = ideal.truncation_degree
+        self._rows = self._build_rows(ideal._ensure_core().reducers)
 
     # -- construction --------------------------------------------------------
 
-    def _all_monomials(self) -> list[Monomial]:
-        nv = len(self.vars)
-        out = [
-            m
-            for m in _iterproduct(*(range(self._n) for _ in range(nv)))
-            if sum(m) < self._n
-        ]
-        out.sort(key=monomial_sort_key)
-        return out
-
-    def _build_rows(self):
-        """For each non-staircase monomial m of degree < N, a relation
-        m = -(1/lc) * sum(tail) modulo the ideal, from a shifted basis element."""
-        core = self.ideal._ensure_core()
+    def _build_rows(self, reducers):
+        """For each non-staircase monomial m of degree < N, in sort order, a
+        relation m = -(1/lc) * sum(tail) modulo the ideal, from the shortest
+        (then oldest) basis element whose lead divides m, shifted onto m."""
+        n = self._n
+        reducers = sorted(reducers, key=lambda r: (r.size, r.idx))
+        monomials = sorted(
+            (m for m in _iterproduct(*(range(n) for _ in self.vars))
+             if sum(m) < n and m not in self._index),
+            key=monomial_sort_key,
+        )
         rows: dict[Monomial, tuple[int, tuple[tuple[Monomial, int], ...]]] = {}
-        for m in self._all_monomials():
-            if m in self._index:
-                continue
-            best = None
-            for r in core.reducers:
-                if all(a <= b for a, b in zip(r.lm, m)):
-                    if best is None or (r.size, r.idx) < (best.size, best.idx):
-                        best = r
+        for m in monomials:
+            best = next((r for r in reducers if monomial_divides(r.lm, m)), None)
             if best is None:
                 raise InternalInconsistency(
                     f"monomial {m} is neither standard nor reducible"
                 )
-            w = tuple(a - b for a, b in zip(m, best.lm))
-            tail = tuple(
-                (monomial_mul(mono, w), c)
-                for mono, c in best.tail
-                if sum(mono) + sum(w) < self._n
-            )
-            rows[m] = (best.lc, tail)
+            w = monomial_div(m, best.lm)
+            room = n - sum(w)
+            rows[m] = (best.lc, tuple(
+                (monomial_mul(mono, w), c) for mono, c in best.tail if sum(mono) < room
+            ))
         return rows
 
     # -- canonical reduction --------------------------------------------------
@@ -107,11 +100,8 @@ class LocalAlgebra:
         the classes of all monomials of degree < N."""
         if m_star not in self._index:
             raise ValueError(f"{m_star} is not a staircase monomial")
-        table = self._tables.get(m_star)
-        if table is not None:
-            return table
         table = {}
-        for m in sorted(self._rows, key=monomial_sort_key, reverse=True):
+        for m in reversed(self._rows):  # smallest first
             lc, tail = self._rows[m]
             acc = Fraction(0)
             for mono, c in tail:
@@ -125,7 +115,6 @@ class LocalAlgebra:
             table[m] = -acc / lc
         for m in self.cobasis:
             table[m] = Fraction(1 if m == m_star else 0)
-        self._tables[m_star] = table
         return table
 
     def coords(self, p: Poly) -> tuple[Fraction, ...]:

@@ -27,10 +27,6 @@ VARS_TX = ("t", "x1", "x2")
 VARS_X = ("x1", "x2")
 
 
-def monomial_degree(m: Monomial) -> int:
-    return sum(m)
-
-
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(add, a, b))
 
@@ -114,12 +110,6 @@ class Poly:
 
     def constant_term(self) -> Fraction:
         return self.terms.get(tuple([0] * len(self.vars)), Fraction(0))
-
-    def total_degree(self) -> int:
-        """Degree of the zero polynomial is -1 by convention."""
-        if not self.terms:
-            return -1
-        return max(sum(m) for m in self.terms)
 
     def coefficient(self, mono: Monomial) -> Fraction:
         return self.terms.get(tuple(mono), Fraction(0))
@@ -271,13 +261,6 @@ class MapGerm:
     @property
     def vars(self) -> tuple[str, ...]:
         return self.components[0].vars
-
-    @property
-    def arity(self) -> tuple[int, int]:
-        return (len(self.vars), len(self.components))
-
-    def is_square(self) -> bool:
-        return len(self.vars) == len(self.components)
 
 
 # -- calculus ---------------------------------------------------------------

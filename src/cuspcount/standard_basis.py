@@ -12,7 +12,7 @@ ideal of germs.
 The basis itself is computed by Lazard's method: each generator is
 homogenized with an auxiliary variable, a Groebner basis is computed for the
 global order "total degree first, ties by the local order on the x-part",
-and the result is dehomogenized.  Since s-polynomials of homogeneous inputs
+and the x-parts of the result are the dehomogenized basis.  Since s-polynomials of homogeneous inputs
 stay homogeneous, every reduction happens inside a single degree, which
 avoids the degree-climbing reductions Mora's direct algorithm is prone to.
 The homogenizing variable is never materialized: a homogeneous polynomial is
@@ -25,7 +25,7 @@ equality, so p lies in I exactly when the standard basis of I + <p> has no
 lead outside L(I).  This needs no normal form and no unit bookkeeping, and
 it treats finite and infinite codimension alike.
 
-Two facts are exploited for speed, both exact:
+Three facts are exploited for speed, all exact:
 
 * Once the partial basis has a pure power of every variable among its lead
   monomials, every monomial of degree >= D := 1 + (max staircase degree)
@@ -38,13 +38,16 @@ Two facts are exploited for speed, both exact:
 * The staircase, and with it the truncation degree, is recomputed only when
   a new lead is divisible by no lead already in the basis; any other lead
   leaves the lead ideal as it was.
+
+The staircase of the last such recomputation is therefore the staircase of
+the finished basis, and the completion hands it over: quotient dimensions and
+the cobasis of a local algebra are read off it, never computed again.
 """
 
 from __future__ import annotations
 
 import heapq
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _iterproduct
 from math import gcd, inf
@@ -63,16 +66,6 @@ from .polyring import (
 
 #: returned by quotient_dim when the quotient is not finite-dimensional
 INFINITE = inf
-
-
-@dataclass(frozen=True)
-class Cobasis:
-    """The staircase: monomials outside the lead ideal, canonically sorted."""
-
-    monomials: tuple[Monomial, ...]
-
-    def __len__(self) -> int:
-        return len(self.monomials)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +109,7 @@ def _truncate(terms: dict[Monomial, int], trunc: int | None) -> dict[Monomial, i
 # ---------------------------------------------------------------------------
 
 
-class _HElem:
+class _Elem:
     """A homogeneous basis element: x-part terms plus its total degree.
 
     A term x^m carries an implicit factor of the homogenizing variable with
@@ -145,7 +138,7 @@ class _HElem:
         return out
 
 
-def _hspoly(f: _HElem, g: _HElem, trunc: int | None) -> tuple[int, dict[Monomial, int]]:
+def _hspoly(f: _Elem, g: _Elem, trunc: int | None) -> tuple[int, dict[Monomial, int]]:
     """S-polynomial in the homogenized ring; returns (degree, x-part terms)."""
     lcm_x = monomial_lcm(f.lm, g.lm)
     a = max(f.a, g.a)
@@ -172,7 +165,7 @@ def _hspoly(f: _HElem, g: _HElem, trunc: int | None) -> tuple[int, dict[Monomial
 
 
 def _hreduce(
-    d_p: int, p_terms: dict[Monomial, int], basis: list[_HElem], trunc: int | None
+    d_p: int, p_terms: dict[Monomial, int], basis: list[_Elem], trunc: int | None
 ) -> dict[Monomial, int]:
     """Full reduction of a homogeneous polynomial of degree d_p.
 
@@ -268,55 +261,45 @@ def _staircase(
 
 
 class _Core:
-    """Result of a completed standard-basis computation (dehomogenized)."""
+    """Result of a completed standard-basis computation.
 
-    __slots__ = ("reducers", "trunc", "is_unit")
+    staircase is sorted by monomial_sort_key; it is None when the quotient
+    is infinite-dimensional and () for the unit ideal.
+    """
 
-    def __init__(self, reducers: list["_Elem"], trunc: int | None, is_unit: bool):
+    __slots__ = ("reducers", "trunc", "staircase")
+
+    def __init__(
+        self,
+        reducers: list[_Elem],
+        trunc: int | None,
+        staircase: tuple[Monomial, ...] | None,
+    ):
         self.reducers = reducers
         self.trunc = trunc
-        self.is_unit = is_unit
-
-    def leads(self) -> list[Monomial]:
-        return [r.lm for r in self.reducers]
-
-
-class _Elem:
-    """A dehomogenized basis element with its lead split off."""
-
-    __slots__ = ("lm", "lc", "tail", "size", "idx")
-
-    def __init__(self, terms: dict[Monomial, int], idx: int):
-        lm = min(terms, key=monomial_sort_key)
-        self.lm = lm
-        self.lc = terms[lm]
-        self.tail = tuple(sorted(
-            ((m, c) for m, c in terms.items() if m != lm),
-            key=lambda t: monomial_sort_key(t[0]),
-        ))
-        self.size = 1 + len(self.tail)
-        self.idx = idx
-
-    def terms(self) -> dict[Monomial, int]:
-        d = {self.lm: self.lc}
-        d.update(self.tail)
-        return d
+        self.staircase = staircase
 
 
 def _complete(gens: list[dict[Monomial, int]], nvars: int) -> _Core:
-    elems: list[_HElem] = []
+    elems: list[_Elem] = []
     alive: list[bool] = []
     pairs: list[tuple] = []
     done: set[tuple[int, int]] = set()
     trunc: int | None = None
+    staircase: list[Monomial] | None = None
     zero_mono = tuple([0] * nvars)
+    unit = _Core([_Elem({zero_mono: 1}, 0, 0)], 0, ())
 
     def refresh_truncation() -> None:
-        nonlocal trunc
+        nonlocal trunc, staircase
         leads = [e.lm for e, a in zip(elems, alive) if a]
         st = _staircase(leads, nvars, trunc)
         if st is None:
             return
+        # a later lead is divisible by an alive lead or refreshes again, and
+        # the leads truncation kills have degree >= trunc: the staircase of
+        # the last refresh is final
+        staircase = st
         new_trunc = 1 + max((sum(m) for m in st), default=0)
         if trunc is not None and new_trunc >= trunc:
             return
@@ -328,14 +311,14 @@ def _complete(gens: list[dict[Monomial, int]], nvars: int) -> _Core:
             if not cut:
                 alive[i] = False
             elif len(cut) != e.size:
-                elems[i] = _HElem(_primitive(cut), e.d, e.idx)
+                elems[i] = _Elem(_primitive(cut), e.d, e.idx)
 
     def add(terms: dict[Monomial, int], d: int) -> bool:
         """Returns True when the dehomogenized ideal is the whole local ring."""
         terms = _primitive(_truncate(terms, trunc))
         if not terms:
             return False
-        e = _HElem(terms, d, len(elems))
+        e = _Elem(terms, d, len(elems))
         if e.lm == zero_mono:
             return True
         for j, other in enumerate(elems):
@@ -357,7 +340,7 @@ def _complete(gens: list[dict[Monomial, int]], nvars: int) -> _Core:
     for g in gens:
         d = max(sum(m) for m in g)
         if add(g, d):
-            return _Core([_Elem({zero_mono: 1}, 0)], 0, True)
+            return unit
 
     while pairs:
         _, i, j = heapq.heappop(pairs)
@@ -394,11 +377,11 @@ def _complete(gens: list[dict[Monomial, int]], nvars: int) -> _Core:
         if not nf:
             continue
         if add(nf, d_sp):
-            return _Core([_Elem({zero_mono: 1}, 0)], 0, True)
+            return unit
 
-    # dehomogenize; keep only elements with minimal lead monomials
+    # keep only elements with minimal lead monomials
     final = [e for e, a in zip(elems, alive) if a]
-    kept: list[_HElem] = []
+    kept: list[_Elem] = []
     for e in final:
         if not any(
             other is not e and monomial_divides(other.lm, e.lm)
@@ -406,19 +389,18 @@ def _complete(gens: list[dict[Monomial, int]], nvars: int) -> _Core:
             for other in final
         ):
             kept.append(e)
-    terms_list = [e.terms() for e in kept]
-    if trunc is not None:
-        # the truncation-degree monomials are members of the localized ideal;
-        # materialize the ones no kept lead covers so the basis generates the
-        # full lead ideal on its own
-        leads = [e.lm for e in kept]
-        for mono in _iterproduct(*(range(trunc + 1) for _ in range(nvars))):
-            if sum(mono) == trunc and not any(
-                monomial_divides(lm, mono) for lm in leads
-            ):
-                terms_list.append({mono: 1})
-    reducers = [_Elem(t, n) for n, t in enumerate(terms_list)]
-    return _Core(reducers, trunc, False)
+    if staircase is None:
+        return _Core(kept, trunc, None)
+    # the truncation-degree monomials are members of the localized ideal;
+    # materialize the ones no kept lead covers so the basis generates the
+    # full lead ideal on its own (they leave the staircase as it is)
+    leads = [e.lm for e in kept]
+    idx = len(elems)
+    for mono in _iterproduct(*(range(trunc + 1) for _ in range(nvars))):
+        if sum(mono) == trunc and not any(monomial_divides(lm, mono) for lm in leads):
+            kept.append(_Elem({mono: 1}, trunc, idx))
+            idx += 1
+    return _Core(kept, trunc, tuple(sorted(staircase, key=monomial_sort_key)))
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +427,6 @@ class LocalIdeal:
         self.vars = vars0
         self._lock = threading.Lock()
         self._core: _Core | None = None
-        self._staircase_cache: list[Monomial] | None = None
-        self._staircase_done = False
 
     def _ensure_core(self) -> _Core:
         if self._core is None:
@@ -455,7 +435,7 @@ class LocalIdeal:
                     gens = [_to_int_terms(g) for g in self.generators]
                     gens = [g for g in gens if g]
                     if not gens:
-                        self._core = _Core([], None, False)
+                        self._core = _Core([], None, None)
                     else:
                         self._core = _complete(gens, len(self.vars))
         return self._core
@@ -482,43 +462,31 @@ class LocalIdeal:
 
         Completes I + <p> and compares lead ideals: p lies in I exactly when
         every lead of I + <p> is divisible by a lead of I.  No case needs
-        its own branch: a unit I + <p> has the lead 1, which no lead of a
-        proper I divides, and when I has a truncation degree its leads
-        cover every monomial of that degree.
+        its own branch: the unit ideal's lead 1 divides every lead, a unit
+        I + <p> has the lead 1, which no lead of a proper I divides, and when
+        I has a truncation degree its leads cover every monomial of that
+        degree.
         """
         if p.vars != self.vars:
             raise ValueError("ambient mismatch")
-        core = self._ensure_core()
-        if core.is_unit:
-            return True
-        mine = core.leads()
-        bigger = LocalIdeal(list(self.generators) + [p])._ensure_core()
+        mine = self.lead_monomials
+        bigger = LocalIdeal(list(self.generators) + [p])
         return all(
             any(monomial_divides(lm, lead) for lm in mine)
-            for lead in bigger.leads()
+            for lead in bigger.lead_monomials
         )
-
-    def _staircase_monomials(self) -> list[Monomial] | None:
-        if not self._staircase_done:
-            core = self._ensure_core()
-            if core.is_unit:
-                self._staircase_cache = []
-            else:
-                self._staircase_cache = _staircase(
-                    core.leads(), len(self.vars), core.trunc
-                )
-            self._staircase_done = True
-        return self._staircase_cache
 
     def quotient_dim(self):
         """Vector-space dimension of the local quotient, or INFINITE."""
-        st = self._staircase_monomials()
+        st = self._ensure_core().staircase
         return INFINITE if st is None else len(st)
 
-    def cobasis(self) -> Cobasis:
-        st = self._staircase_monomials()
+    def cobasis(self) -> tuple[Monomial, ...]:
+        """The staircase: the monomials outside the lead ideal, sorted by
+        monomial_sort_key, largest first; they form a basis of the quotient."""
+        st = self._ensure_core().staircase
         if st is None:
             raise DimensionInfinite(
                 f"ideal in {self.vars} has infinite codimension"
             )
-        return Cobasis(tuple(sorted(st, key=monomial_sort_key)))
+        return st

@@ -108,7 +108,6 @@ def test_choose_combination_identity_path():
     J, F1, F2 = ex1_triple()
     combo = choose_combination(J, F1, F2)
     assert combo.identity_choice
-    assert combo.verified
     assert (combo.g1, combo.g2, combo.g3) == (F1, F2, J)
     assert [[int(x) for x in row] for row in combo.matrix] == [
         [0, 1, 0], [0, 0, 1], [1, 0, 0],

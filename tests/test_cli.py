@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +10,8 @@ from cuspcount.errors import NegativeBranchCount, PipelineError
 from cuspcount.exprparse import parse_poly
 
 from support import EX1
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +81,12 @@ def test_usage_error_exit_code(capsys):
     assert code == 1
     code, _, _ = run_cli(capsys, "nonsense")
     assert code == 1
+    # a negative cap is a usage error, not a failed hypothesis
+    code, out, err = run_cli(
+        capsys, "analyze", "--f1", EX1[0], "--f2", EX1[1], "--xi-cap", "-1"
+    )
+    assert code == 1 and out == ""
+    assert "--xi-cap" in err and "analysis failed" not in err
 
 
 def test_input_file(tmp_path, capsys):
@@ -113,6 +122,13 @@ def test_output_is_deterministic(capsys):
     _, out1, _ = run_cli(capsys, "analyze", "--f1", EX1[0], "--f2", EX1[1], "--json")
     _, out2, _ = run_cli(capsys, "analyze", "--f1", EX1[0], "--f2", EX1[1], "--json")
     assert out1 == out2
+
+
+@pytest.mark.parametrize("flags, golden", [((), "ex1.txt"), (("--json",), "ex1.json")])
+def test_report_matches_golden(capsys, flags, golden):
+    code, out, _ = run_cli(capsys, "analyze", "--f1", EX1[0], "--f2", EX1[1], *flags)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_bytes().decode("utf-8")
 
 
 def test_help_documents_grammar(capsys):

@@ -5,12 +5,12 @@ from math import gcd
 
 import pytest
 
-from cuspcount.elk_degree import build_algebra
+from cuspcount.elk_degree import LocalAlgebra, build_algebra
 from cuspcount.errors import DimensionInfinite
 from cuspcount.exprparse import parse_poly
 from cuspcount.polyring import Poly, VARS_TX, VARS_X, jacobian2
 from cuspcount.polyring import monomial_divides, monomial_sort_key
-from cuspcount.standard_basis import INFINITE, LocalIdeal, _HElem, _hreduce, _staircase
+from cuspcount.standard_basis import INFINITE, LocalIdeal, _Elem, _hreduce, _staircase
 
 from support import EX1, random_origin_poly, random_poly
 
@@ -98,10 +98,10 @@ def test_quotient_dim_infinite():
 
 
 def test_cobasis_examples():
-    assert LocalIdeal([p("x1", VARS_X), p("x2", VARS_X)]).cobasis().monomials == ((0, 0),)
+    assert LocalIdeal([p("x1", VARS_X), p("x2", VARS_X)]).cobasis() == ((0, 0),)
     cb = LocalIdeal([p("x1^2", VARS_X), p("x2^2", VARS_X)]).cobasis()
-    assert set(cb.monomials) == {(0, 0), (1, 0), (0, 1), (1, 1)}
-    assert cb.monomials[0] == (0, 0)
+    assert set(cb) == {(0, 0), (1, 0), (0, 1), (1, 1)}
+    assert cb[0] == (0, 0)
 
 
 def test_cobasis_infinite_raises():
@@ -205,7 +205,7 @@ def test_fraction_free_reduction_matches_rational_reduction():
         basis = []
         for idx in range(rng.randint(1, 5)):
             t = terms(rng.randint(1, 4))
-            basis.append(_HElem(t, max(map(sum, t)) + rng.randint(0, 2), idx))
+            basis.append(_Elem(t, max(map(sum, t)) + rng.randint(0, 2), idx))
         p_terms = terms(rng.randint(1, 6))
         d_p = max(map(sum, p_terms)) + rng.randint(0, 3)
         got = _hreduce(d_p, p_terms, basis, None)
@@ -286,6 +286,34 @@ def test_membership_infinite_codimension():
     assert flips >= 15
 
 
+def test_completion_hands_over_its_final_staircase():
+    # the cobasis is the staircase the completion kept from its last
+    # truncation refresh; it must be the staircase of the finished lead
+    # ideal, and the algebra's truncation degree must be the completion's
+    rng = random.Random(38)
+    kinds = {"finite": 0, "infinite": 0, "unit": 0}
+    for k in range(240):
+        vars = (VARS_X, VARS_TX)[k % 2]
+        if k % 4 < 2:
+            gens = _zero_dim_ideal(rng, vars)
+        else:
+            gens = [random_origin_poly(rng, vars, max_deg=3, n_terms=3)
+                    for _ in range(rng.randint(1, 3))]
+            if k % 4 == 3:
+                gens[0] = gens[0] + Poly.constant(rng.choice((-2, -1, 1, 3)), vars)
+        ideal = LocalIdeal(gens)
+        trunc = ideal.truncation_degree
+        if ideal.quotient_dim() == INFINITE:
+            kinds["infinite"] += 1
+            continue
+        kinds["unit" if ideal.quotient_dim() == 0 else "finite"] += 1
+        staircase = _staircase(ideal.lead_monomials, len(vars), trunc)
+        assert ideal.cobasis() == tuple(sorted(staircase, key=monomial_sort_key)), gens
+        top = max((sum(m) for m in ideal.cobasis()), default=-1)
+        assert LocalAlgebra(ideal)._n == trunc == 1 + top, gens
+    assert kinds["finite"] >= 100 and kinds["infinite"] >= 20 and kinds["unit"] >= 40, kinds
+
+
 def test_membership_is_class_invariant():
     rng = random.Random(34)
     for _ in range(20):
@@ -329,5 +357,5 @@ def test_std_basis_deterministic_and_cached():
 def test_unit_ideal():
     ideal = LocalIdeal([p("1 + x1", VARS_X)])
     assert ideal.quotient_dim() == 0
-    assert ideal.cobasis().monomials == ()
+    assert ideal.cobasis() == ()
     assert ideal.contains(p("x1", VARS_X))
