@@ -29,9 +29,8 @@ from .elk_degree import (
     signature,
 )
 from .errors import CuspCountError, HypothesisError, ParseError
-from .exprparse import ExprSource, parse_poly
+from .exprparse import parse_poly
 from .polyring import (
-    MapGerm,
     Poly,
     VARS_TX,
     VARS_X,
@@ -51,14 +50,12 @@ __all__ = [
     "CuspCountError",
     "DegreeCertificate",
     "DerivedGerms",
-    "ExprSource",
     "GenericCombination",
     "HypothesisError",
     "HypothesisReport",
     "INFINITE",
     "LocalAlgebra",
     "LocalIdeal",
-    "MapGerm",
     "ParseError",
     "Poly",
     "VARS_TX",

@@ -28,13 +28,7 @@ from .errors import (
     OddBPrime,
     XiSearchExceededBound,
 )
-from .polyring import (
-    MapGerm,
-    Poly,
-    jacobian2,
-    jacobian_det,
-    substitute_t_squared,
-)
+from .polyring import Poly, det, jacobian2, jacobian_det, substitute_t_squared
 from .standard_basis import INFINITE, LocalIdeal
 
 DEFAULT_XI_CAP = 64
@@ -79,14 +73,6 @@ def curve_criterion_ideal(g1: Poly, g2: Poly) -> LocalIdeal:
 
 def _condition3_dim(g1: Poly, g2: Poly):
     return LocalIdeal([_t_poly(g1.vars), g1, g2]).quotient_dim()
-
-
-def _det3(m) -> Fraction:
-    return (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
 
 
 def _draw_matrix(rng: random.Random, attempt: int) -> list[list[int]]:
@@ -145,7 +131,7 @@ def choose_combination(
     ws = (w1, w2, w3)
     for attempt in range(max_attempts):
         rows = _draw_matrix(rng, attempt)
-        if _det3(rows) == 0:
+        if det(rows) == 0:
             continue
         g1, g2, g3 = (
             sum((ws[j] * rows[s][j] for j in range(3)), Poly.zero(w1.vars))
@@ -182,15 +168,22 @@ def compute_xi(g1: Poly, g2: Poly, g3: Poly, cap: int = DEFAULT_XI_CAP) -> int:
     )
 
 
-def build_H(g1: Poly, g2: Poly, g3: Poly, k: int, sign: int) -> MapGerm:
-    """The auxiliary germ (det d(g3 + sign*t^k, g1, g2)/d(t,x1,x2), g1, g2)."""
+def build_H(
+    g1: Poly, g2: Poly, g3: Poly, k: int, sign: int
+) -> tuple[Poly, Poly, Poly]:
+    """The components of the auxiliary germ
+    (det d(g3 + sign*t^k, g1, g2)/d(t,x1,x2), g1, g2).
+
+    The first component may be a unit; the germ then has no zero near the
+    origin and its local degree is 0.
+    """
     if k <= 0 or k % 2 != 0:
         raise ValueError("k must be a positive even integer")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     t = _t_poly(g1.vars)
     first = jacobian_det([g3 + t**k * sign, g1, g2])
-    return MapGerm((first, g1, g2), check_origin=False)
+    return first, g1, g2
 
 
 def _smallest_even_above(xi: int) -> int:

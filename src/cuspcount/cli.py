@@ -33,6 +33,7 @@ inside rational literals such as 3/4; exponents are integers in
 """
 
 JSON_SCHEMA_VERSION = 1
+_INPUT_KEYS = ("f1", "f2", "seed")
 
 
 def report_to_dict(report: BifurcationReport) -> dict:
@@ -119,7 +120,13 @@ def _read_input_file(path: str) -> dict[str, str]:
             if "=" not in line:
                 raise ParseError(f"line {lineno}: expected key=value", 0)
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in _INPUT_KEYS:
+                raise ParseError(
+                    f"line {lineno}: unknown key {key!r}, expected one of "
+                    + ", ".join(_INPUT_KEYS), 0,
+                )
+            values[key] = value.strip()
     return values
 
 

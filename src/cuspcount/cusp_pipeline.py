@@ -41,30 +41,27 @@ from .errors import (
     ParityViolation,
     PipelineError,
 )
-from .polyring import (
-    MapGerm,
-    Poly,
-    VARS_TX,
-    jacobian2,
-    partial,
-    set_t_zero,
-)
+from .polyring import Poly, VARS_TX, jacobian2, partial, set_t_zero
 from .standard_basis import INFINITE, LocalIdeal
 
 
 @dataclass(frozen=True)
 class DerivedGerms:
-    """Everything derived from the input family before degree computations."""
+    """Everything derived from the input family before degree computations.
+
+    The germs f0, d0, d1 and d2 are tuples of their component polynomials:
+    f0 and d0 in (x1, x2), d1 and d2 in (t, x1, x2).
+    """
 
     f1: Poly
     f2: Poly
     J: Poly
     F1: Poly
     F2: Poly
-    f0: MapGerm
-    d0: MapGerm
-    d1: MapGerm
-    d2: MapGerm
+    f0: tuple[Poly, Poly]
+    d0: tuple[Poly, Poly]
+    d1: tuple[Poly, Poly, Poly]
+    d2: tuple[Poly, Poly, Poly]
     I_prime: LocalIdeal
     Q_ideal: LocalIdeal
     I_dblprime: LocalIdeal
@@ -132,12 +129,12 @@ def derive(f1: Poly, f2: Poly) -> DerivedGerms:
     F1 = jacobian2(f1, J, 1, 2)
     F2 = jacobian2(f2, J, 1, 2)
     Jt, Jx1, Jx2 = partial(J, 0), partial(J, 1), partial(J, 2)
-    f0 = MapGerm((set_t_zero(f1), set_t_zero(f2)))
+    f0 = (set_t_zero(f1), set_t_zero(f2))
     # partials of J need not vanish at the origin; an empty zero set near the
     # origin is legitimate for the d-germs and yields degree 0
-    d0 = MapGerm((set_t_zero(Jx1), set_t_zero(Jx2)), check_origin=False)
-    d1 = MapGerm((Jt, Jx1, Jx2), check_origin=False)
-    d2 = MapGerm((J, Jx1, Jx2), check_origin=False)
+    d0 = (set_t_zero(Jx1), set_t_zero(Jx2))
+    d1 = (Jt, Jx1, Jx2)
+    d2 = (J, Jx1, Jx2)
     i_prime = LocalIdeal([
         J, F1, F2,
         jacobian2(F1, J, 1, 2),
@@ -162,10 +159,10 @@ def verify_hypotheses(d: DerivedGerms) -> HypothesisReport:
     checks = [
         ("dim O/<t,f1,f2>", LocalIdeal([t, d.f1, d.f2])),
         ("dim O/<t,F1,F2>", LocalIdeal([t, d.F1, d.F2])),
-        ("dim O/<t,dJ/dx1,dJ/dx2>", LocalIdeal([t, partial(d.J, 1), partial(d.J, 2)])),
+        ("dim O/<t,dJ/dx1,dJ/dx2>", LocalIdeal([t, *d.d2[1:]])),
         ("dim O/I'", d.I_prime),
-        ("dim O/<d1 components>", LocalIdeal(list(d.d1.components))),
-        ("dim O/<d2 components>", LocalIdeal(list(d.d2.components))),
+        ("dim O/<d1 components>", LocalIdeal(d.d1)),
+        ("dim O/<d2 components>", LocalIdeal(d.d2)),
         ("dim O/I''", d.I_dblprime),
         ("dim Q", d.Q_ideal),
     ]

@@ -33,7 +33,6 @@ from .errors import (
     NotAlgebraicallyIsolated,
 )
 from .polyring import (
-    MapGerm,
     Monomial,
     Poly,
     jacobian_det,
@@ -164,12 +163,12 @@ class DegreeCertificate:
     signature_split: tuple[int, int]
 
 
-def build_algebra(germ: MapGerm | Sequence[Poly]) -> LocalAlgebra:
-    """Local algebra of a square germ's component ideal."""
-    comps = tuple(germ.components if isinstance(germ, MapGerm) else germ)
-    if not comps or len(comps) != len(comps[0].vars):
+def build_algebra(germ: Sequence[Poly]) -> LocalAlgebra:
+    """Local algebra of a square germ, given as the sequence of its component
+    polynomials (one per variable, all in one ambient)."""
+    if not germ or len(germ) != len(germ[0].vars):
         raise ValueError("build_algebra needs a square germ")
-    return LocalAlgebra(LocalIdeal(comps))
+    return LocalAlgebra(LocalIdeal(germ))
 
 
 def signature(matrix: Sequence[Sequence]) -> tuple[int, int, int]:
@@ -252,18 +251,18 @@ def signature(matrix: Sequence[Sequence]) -> tuple[int, int, int]:
     return pos, neg, n - pos - neg
 
 
-def local_degree(germ: MapGerm | Sequence[Poly]) -> DegreeCertificate:
-    """Local topological degree of a square germ at the origin.
+def local_degree(germ: Sequence[Poly]) -> DegreeCertificate:
+    """Local topological degree at the origin of a square germ, given as the
+    sequence of its component polynomials.
 
     A germ whose components have no common zero near the origin (unit
     component ideal) gets degree 0 with an empty certificate.
     """
-    comps = tuple(germ.components if isinstance(germ, MapGerm) else germ)
-    algebra = build_algebra(comps)
+    algebra = build_algebra(germ)
     if algebra.dim == 0:
         return DegreeCertificate(0, 0, (), (), (0, 0))
 
-    jdet = jacobian_det(comps)
+    jdet = jacobian_det(germ)
     jclass = algebra.coords(jdet)
     m_star = None
     for i in range(algebra.dim - 1, -1, -1):

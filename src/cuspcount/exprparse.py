@@ -14,29 +14,13 @@ non-negative integers up to EXPONENT_CAP.  Whitespace is ignored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import ParseError
-from .polyring import Poly
+from .polyring import VARS_TX, Poly
 
 EXPONENT_CAP = 64
-
-_DEFAULT_VARS = ("t", "x1", "x2")
-
-
-@dataclass(frozen=True)
-class ExprSource:
-    """An input expression together with the variables it may mention."""
-
-    text: str
-    declared_vars: tuple[str, ...] = _DEFAULT_VARS
-
-    def __post_init__(self):
-        if len(set(self.declared_vars)) != len(self.declared_vars):
-            raise ValueError("declared variables must be distinct")
-
 
 _TOKEN_CHARS = set("+-*/^()")
 
@@ -72,9 +56,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, src: ExprSource):
-        self.vars = tuple(src.declared_vars)
-        self.tokens = _tokenize(src.text)
+    def __init__(self, text: str, vars: tuple[str, ...]):
+        self.vars = vars
+        self.tokens = _tokenize(text)
         self.pos = 0
 
     def peek(self):
@@ -178,10 +162,12 @@ class _Parser:
         raise ParseError(f"unexpected {value or 'end of input'!r}", at)
 
 
-def parse_poly(src: ExprSource | str, declared_vars: Sequence[str] | None = None) -> Poly:
-    """Parse an expression into its canonical expanded Poly."""
-    if isinstance(src, str):
-        src = ExprSource(src, tuple(declared_vars) if declared_vars else _DEFAULT_VARS)
-    if not src.text.strip():
+def parse_poly(text: str, vars: Sequence[str] = VARS_TX) -> Poly:
+    """Parse an expression in the given (distinct) variables into its
+    canonical expanded Poly."""
+    vars = tuple(vars)
+    if len(set(vars)) != len(vars):
+        raise ValueError("declared variables must be distinct")
+    if not text.strip():
         raise ParseError("empty expression", 0)
-    return _Parser(src).parse()
+    return _Parser(text, vars).parse()

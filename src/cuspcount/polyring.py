@@ -14,9 +14,7 @@ constant term always prints first.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass
 from fractions import Fraction
-from itertools import permutations
 from operator import add, le, sub
 from typing import Mapping, Sequence
 
@@ -110,22 +108,6 @@ class Poly:
 
     def constant_term(self) -> Fraction:
         return self.terms.get(tuple([0] * len(self.vars)), Fraction(0))
-
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(tuple(mono), Fraction(0))
-
-    def evaluate(self, point: Sequence) -> Fraction:
-        if len(point) != len(self.vars):
-            raise ValueError("point arity mismatch")
-        vals = [_as_fraction(p) for p in point]
-        acc = Fraction(0)
-        for mono, coeff in self.terms.items():
-            term = coeff
-            for v, e in zip(vals, mono):
-                if e:
-                    term *= v**e
-            acc += term
-        return acc
 
     # -- ring operations ---------------------------------------------------
 
@@ -236,33 +218,6 @@ class Poly:
         return f"Poly({'*'.join(self.vars)}: {self})"
 
 
-@dataclass(frozen=True)
-class MapGerm:
-    """A polynomial map germ fixing the origin; components share one ambient.
-
-    check_origin=False skips the vanishing check, for auxiliary germs whose
-    first component may turn out to be a unit (their zero set near the origin
-    is then empty and their local degree is 0).
-    """
-
-    components: tuple[Poly, ...]
-    check_origin: InitVar[bool] = True
-
-    def __post_init__(self, check_origin: bool):
-        if not self.components:
-            raise ValueError("a map germ needs at least one component")
-        vars0 = self.components[0].vars
-        for p in self.components:
-            if p.vars != vars0:
-                raise ValueError("all components must share one ambient")
-            if check_origin and p.constant_term() != 0:
-                raise ValueError("map germ components must vanish at the origin")
-
-    @property
-    def vars(self) -> tuple[str, ...]:
-        return self.components[0].vars
-
-
 # -- calculus ---------------------------------------------------------------
 
 
@@ -280,33 +235,35 @@ def partial(p: Poly, v: int) -> Poly:
     return Poly(p.vars, out)
 
 
+def det(rows: Sequence[Sequence]):
+    """Determinant of a square matrix over a commutative ring (int, Fraction
+    or Poly entries), by cofactor expansion along the first row."""
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("det needs a square matrix")
+    if n <= 1:
+        return rows[0][0] if rows else 1
+    total = 0
+    for j, a in enumerate(rows[0]):
+        term = a * det([row[:j] + row[j + 1:] for row in rows[1:]])
+        total = total - term if j % 2 else total + term
+    return total
+
+
 def jacobian2(p: Poly, q: Poly, v1: int, v2: int) -> Poly:
     """The 2x2 Jacobian determinant d(p,q)/d(v1,v2)."""
     if v1 == v2:
         raise ValueError("jacobian2 needs two distinct variables")
     p._check_same_ambient(q)
-    return partial(p, v1) * partial(q, v2) - partial(p, v2) * partial(q, v1)
+    return det([[partial(p, v1), partial(p, v2)], [partial(q, v1), partial(q, v2)]])
 
 
 def jacobian_det(components: Sequence[Poly]) -> Poly:
     """Expanded determinant of the derivative matrix of a square map."""
-    comps = tuple(components)
-    n = len(comps)
-    if n == 0 or len(comps[0].vars) != n:
+    n = len(components)
+    if n == 0 or len(components[0].vars) != n:
         raise ValueError("jacobian_det needs as many components as variables")
-    rows = [[partial(c, j) for j in range(n)] for c in comps]
-    det = Poly.zero(comps[0].vars)
-    for perm in permutations(range(n)):
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        term = Poly.constant(sign, comps[0].vars)
-        for i in range(n):
-            term = term * rows[i][perm[i]]
-        det = det + term
-    return det
+    return det([[partial(c, j) for j in range(n)] for c in components])
 
 
 def _require_t_first(p: Poly):

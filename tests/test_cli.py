@@ -113,6 +113,23 @@ def test_input_file_bad_line(tmp_path, capsys):
     assert "key=value" in err
 
 
+def test_input_file_unknown_key(tmp_path, capsys):
+    # a misspelt seed must not silently run with the default seed
+    config = tmp_path / "typo.txt"
+    config.write_text(f"f1 = {EX1[0]}\nf2 = {EX1[1]}\nsed = 3\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", "--input", str(config))
+    assert code == 1 and out == ""
+    assert "line 3" in err and "'sed'" in err
+    # keys are case-sensitive: F1 must not let the command-line --f1 through
+    config = tmp_path / "upper.txt"
+    config.write_text(f"F1 = {EX1[0]}\nf2 = {EX1[1]}\n", encoding="utf-8")
+    code, out, err = run_cli(
+        capsys, "analyze", "--input", str(config), "--f1", "x1^3 + x2^2 - t*x1"
+    )
+    assert code == 1 and out == ""
+    assert "line 1" in err and "'F1'" in err
+
+
 def test_json_roundtrip(ex1_report):
     doc = json.loads(render_json(ex1_report))
     assert doc == report_to_dict(ex1_report)

@@ -16,7 +16,6 @@ from cuspcount.elk_degree import (
 from cuspcount.errors import DegenerateJacobianClass, NotAlgebraicallyIsolated
 from cuspcount.exprparse import parse_poly
 from cuspcount.polyring import (
-    MapGerm,
     Poly,
     VARS_TX,
     VARS_X,
@@ -56,6 +55,15 @@ def test_algebra_staircase_dims():
 def test_algebra_rejects_nonisolated():
     with pytest.raises(NotAlgebraicallyIsolated):
         build_algebra([p2("x1^2"), p2("x1*x2")])
+
+
+def test_algebra_rejects_malformed_germs():
+    for germ in ([], [p2("x1")], [p3("x1"), p3("x2")]):
+        with pytest.raises(ValueError, match="square"):
+            build_algebra(germ)
+    # components in two different ambients
+    with pytest.raises(ValueError, match="ambient"):
+        build_algebra([p2("x1"), parse_poly("y", ("x1", "y"))])
 
 
 def test_algebra_coords_are_linear():
@@ -305,9 +313,7 @@ def test_degree_gradient_with_empty_negative_side():
 
 
 def test_degree_unit_component_is_zero():
-    cert = local_degree(
-        MapGerm((p3("1 + 2*t"), p3("x1"), p3("x2")), check_origin=False)
-    )
+    cert = local_degree([p3("1 + 2*t"), p3("x1"), p3("x2")])
     assert cert == DegreeCertificate(0, 0, (), (), (0, 0))
 
 

@@ -29,8 +29,8 @@ def p(text):
 def test_derive_worked_family():
     d = derive(p(EX1[0]), p(EX1[1]))
     assert d.J == p("3*x1^3 + t*x1 - 2*x2^2")
-    assert d.f0.vars == ("x1", "x2")
-    assert d.d1.components[0] == p("x1")
+    assert d.f0[0].vars == ("x1", "x2")
+    assert d.d1[0] == p("x1")
 
 
 def test_derive_rejects_regular_germ():
