@@ -97,7 +97,7 @@ def render_text(report: BifurcationReport) -> str:
         f"  substituted (t -> t^2): xi' = {bp.xi}, k' = {bp.k}: "
         f"deg(H+') = {bp.deg_H_plus:+d}, deg(H-') = {bp.deg_H_minus:+d}  ->  "
         f"b0' = {bp.b0}",
-        f"  combination: {'identity permutation (F1, F2, J)' if report.identity_combination else 'random matrix (seed %d)' % report.seed}",
+        "  combination: identity permutation (F1, F2, J)",
         "cusp points bifurcating from the origin",
         f"  t > 0: {sp} with degree +1, {sm} with degree -1",
         f"  t < 0: {snp} with degree +1, {snm} with degree -1",
@@ -110,23 +110,30 @@ def render_text(report: BifurcationReport) -> str:
     return "\n".join(lines)
 
 
-def _read_input_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _read_input_file(path: str) -> dict:
+    """The values of a key = value file: f1 and f2 parsed, seed as an int.
+    Every error names the line it was found on."""
+    values: dict = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
-                raise ParseError(f"line {lineno}: expected key=value", 0)
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in _INPUT_KEYS:
-                raise ParseError(
-                    f"line {lineno}: unknown key {key!r}, expected one of "
-                    + ", ".join(_INPUT_KEYS), 0,
-                )
-            values[key] = value.strip()
+            try:
+                if "=" not in line:
+                    raise ValueError("expected key=value")
+                key, _, value = line.partition("=")
+                key, value = key.strip(), value.strip()
+                if key not in _INPUT_KEYS:
+                    raise ValueError(
+                        f"unknown key {key!r}, expected one of "
+                        + ", ".join(_INPUT_KEYS)
+                    )
+                if key in values:
+                    raise ValueError(f"duplicate key {key!r}")
+                values[key] = int(value) if key == "seed" else parse_poly(value)
+            except (ParseError, ValueError) as e:
+                raise ValueError(f"line {lineno}: {e}") from None
     return values
 
 
@@ -153,9 +160,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--input", help="read f1, f2 and optionally seed from a key=value file"
     )
     analyze.add_argument("--seed", type=int, default=0,
-                         help="seed echoed in the report; the verified "
-                              "hypotheses make the identity combination "
-                              "valid, so no random draw uses it")
+                         help="seed echoed in the report; the analysis "
+                              "is deterministic and does not use it")
     analyze.add_argument("--json", action="store_true",
                          help="emit the report as JSON")
     analyze.add_argument("--xi-cap", type=int, default=DEFAULT_XI_CAP,
@@ -175,19 +181,14 @@ def main(argv: list[str] | None = None) -> int:
         # argparse exits 2 on usage errors; the contract here is exit 1
         return 0 if e.code == 0 else 1
 
-    f1_text, f2_text, seed = args.f1, args.f2, args.seed
     try:
-        if args.input:
-            values = _read_input_file(args.input)
-            f1_text = values.get("f1", f1_text)
-            f2_text = values.get("f2", f2_text)
-            if "seed" in values:
-                seed = int(values["seed"])
-        if not f1_text or not f2_text:
+        values = _read_input_file(args.input) if args.input else {}
+        if any(k not in values and not getattr(args, k) for k in ("f1", "f2")):
             print("error: --f1 and --f2 (or --input) are required", file=sys.stderr)
             return 1
-        f1 = parse_poly(f1_text)
-        f2 = parse_poly(f2_text)
+        f1 = values["f1"] if "f1" in values else parse_poly(args.f1)
+        f2 = values["f2"] if "f2" in values else parse_poly(args.f2)
+        seed = values.get("seed", args.seed)
     except (ParseError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

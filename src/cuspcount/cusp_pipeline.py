@@ -8,8 +8,10 @@ Given f = (f1, f2) in variables (t, x1, x2) with f(0) = 0, the pipeline
      (algebraic isolation: finite codimension of the complexified zero);
   3. computes the local degrees of f0, d0, d1, d2;
   4. evaluates cusp deg(f_t) = deg(f0) - deg(d1) - sign(t)*deg(d2);
-  5. counts half-branches of the cusp curve V(J, F1, F2): the total b0 and,
-     through the t -> t^2 substitution, the number with t > 0;
+  5. counts half-branches of the cusp curve V(J, F1, F2) on the permutation
+     (F1, F2, J), whose two conditions step 2 certifies as dim O/I'' and
+     dim O/<t,F1,F2>: the total b0 and, through the t -> t^2 substitution,
+     the number with t > 0;
   6. solves the two 2x2 integer systems for the four cusp counts
      (positive/negative local degree, for either sign of t);
   7. reports Euler-characteristic extras and runs the parity cross-check
@@ -62,9 +64,6 @@ class DerivedGerms:
     d0: tuple[Poly, Poly]
     d1: tuple[Poly, Poly, Poly]
     d2: tuple[Poly, Poly, Poly]
-    I_prime: LocalIdeal
-    Q_ideal: LocalIdeal
-    I_dblprime: LocalIdeal
 
 
 @dataclass(frozen=True)
@@ -115,7 +114,7 @@ class BifurcationReport:
 
 
 def derive(f1: Poly, f2: Poly) -> DerivedGerms:
-    """Build every derived germ and ideal from the input family."""
+    """Build every derived germ from the input family."""
     if f1.vars != VARS_TX or f2.vars != VARS_TX:
         raise ValueError(f"input germs must live in {VARS_TX}")
     if f1.constant_term() != 0 or f2.constant_term() != 0:
@@ -135,17 +134,7 @@ def derive(f1: Poly, f2: Poly) -> DerivedGerms:
     d0 = (set_t_zero(Jx1), set_t_zero(Jx2))
     d1 = (Jt, Jx1, Jx2)
     d2 = (J, Jx1, Jx2)
-    i_prime = LocalIdeal([
-        J, F1, F2,
-        jacobian2(F1, J, 1, 2),
-        jacobian2(F2, J, 1, 2),
-    ])
-    t = Poly.variable("t", VARS_TX)
-    q_ideal = LocalIdeal([t, J, F1, F2])
-    return DerivedGerms(
-        f1, f2, J, F1, F2, f0, d0, d1, d2,
-        i_prime, q_ideal, curve_criterion_ideal(F1, F2),
-    )
+    return DerivedGerms(f1, f2, J, F1, F2, f0, d0, d1, d2)
 
 
 def verify_hypotheses(d: DerivedGerms) -> HypothesisReport:
@@ -160,11 +149,15 @@ def verify_hypotheses(d: DerivedGerms) -> HypothesisReport:
         ("dim O/<t,f1,f2>", LocalIdeal([t, d.f1, d.f2])),
         ("dim O/<t,F1,F2>", LocalIdeal([t, d.F1, d.F2])),
         ("dim O/<t,dJ/dx1,dJ/dx2>", LocalIdeal([t, *d.d2[1:]])),
-        ("dim O/I'", d.I_prime),
+        ("dim O/I'", LocalIdeal([
+            d.J, d.F1, d.F2,
+            jacobian2(d.F1, d.J, 1, 2),
+            jacobian2(d.F2, d.J, 1, 2),
+        ])),
         ("dim O/<d1 components>", LocalIdeal(d.d1)),
         ("dim O/<d2 components>", LocalIdeal(d.d2)),
-        ("dim O/I''", d.I_dblprime),
-        ("dim Q", d.Q_ideal),
+        ("dim O/I''", curve_criterion_ideal(d.F1, d.F2)),
+        ("dim Q", LocalIdeal([t, d.J, d.F1, d.F2])),
     ]
     dims = []
     for name, ideal in checks:
@@ -267,17 +260,13 @@ def run(
     combo = stage(
         "choose_combination", choose_combination,
         derived.J, derived.F1, derived.F2,
-        rng_seed=seed,
-        identity_criterion_ideal=derived.I_dblprime,
-        identity_cond3_dim=hyp.dim_t_F1_F2,
     )
     branch = stage(
-        "count_branches", count_branches,
-        combo.g1, combo.g2, combo.g3, xi_cap=xi_cap,
+        "count_branches", count_branches, *combo.g, xi_cap=xi_cap,
     )
     branch_pos = stage(
         "count_branches_positive_t", count_branches_positive_t,
-        combo.g1, combo.g2, combo.g3, xi_cap=xi_cap, xi_hint=branch.xi,
+        *combo.g, xi_cap=xi_cap, xi_hint=branch.xi,
     )
 
     sigma = stage(

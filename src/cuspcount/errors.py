@@ -45,10 +45,6 @@ class DegenerateJacobianClass(HypothesisError):
     """The Jacobian determinant reduces to zero in the local algebra."""
 
 
-class NoGenericCombinationFound(HypothesisError):
-    """No verified generic combination after the allowed number of attempts."""
-
-
 class XiSearchExceededBound(HypothesisError):
     """The membership exponent search passed its cap without success."""
 

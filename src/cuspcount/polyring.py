@@ -271,13 +271,10 @@ def _require_t_first(p: Poly):
         raise ValueError(f"operation needs ambient starting with 't', got {p.vars}")
 
 
-def substitute_t_squared(p: Poly, negate: bool = False) -> Poly:
-    """Replace t by t^2 (or by -t^2): t-exponents double, others unchanged."""
+def substitute_t_squared(p: Poly) -> Poly:
+    """Replace t by t^2: t-exponents double, others unchanged."""
     _require_t_first(p)
-    return Poly(p.vars, {
-        (2 * m[0],) + m[1:]: (-c if negate and m[0] % 2 else c)
-        for m, c in p.terms.items()
-    })
+    return Poly(p.vars, {(2 * m[0],) + m[1:]: c for m, c in p.terms.items()})
 
 
 def set_t_zero(p: Poly) -> Poly:

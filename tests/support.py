@@ -1,10 +1,13 @@
-"""Shared helpers for the test suite: random polynomial generation and the
-two worked families used as regression anchors."""
+"""Shared helpers for the test suite: random polynomial generation, changes
+of coordinates, an independent random combination search, and the two worked
+families used as regression anchors."""
 
 import random
 from fractions import Fraction
 
-from cuspcount.polyring import Poly
+from cuspcount.branch_counter import GenericCombination, curve_criterion_ideal
+from cuspcount.polyring import Poly, det
+from cuspcount.standard_basis import INFINITE, LocalIdeal
 
 EX1 = ("x1^3 + x2^2 + t*x1", "x1*x2")
 EX2 = ("x1^4 + x2^4 + x1^2*x2^2 + t*x1", "x1*x2 + t*x2")
@@ -52,3 +55,58 @@ def random_origin_poly(rng, vars, **kw) -> Poly:
         p = p - Poly.constant(p.constant_term(), vars)
         if not p.is_zero():
             return p
+
+
+def flip_t(p: Poly) -> Poly:
+    """p with t replaced by -t (t is the first variable)."""
+    return Poly(p.vars, {m: -c if m[0] % 2 else c for m, c in p.terms.items()})
+
+
+def swap_x(p: Poly) -> Poly:
+    """p in (t, x1, x2) with x1 and x2 exchanged."""
+    return Poly(p.vars, {(m[0], m[2], m[1]): c for m, c in p.terms.items()})
+
+
+def _draw_matrix(rng: random.Random, attempt: int) -> list[list[int]]:
+    """Candidate combination matrices, sparsest first: a signed permutation,
+    from the third draw on with one extra entry, and dense from the ninth."""
+    if attempt < 8:
+        perm = rng.sample(range(3), 3)
+        rows = [[0] * 3 for _ in range(3)]
+        for s, j in enumerate(perm):
+            rows[s][j] = rng.choice((1, -1))
+        if attempt >= 2:
+            s, j = rng.randrange(3), rng.randrange(3)
+            if rows[s][j] == 0:
+                rows[s][j] = rng.choice((-3, -2, -1, 1, 2, 3))
+        return rows
+    return [[rng.randint(-10, 10) for _ in range(3)] for _ in range(3)]
+
+
+def random_combination(w1: Poly, w2: Poly, w3: Poly, seed: int,
+                       max_attempts: int = 32) -> GenericCombination:
+    """A seeded random nonsingular combination of (w1, w2, w3) whose curve
+    criterion ideal and <t, g1, g2> both have finite codimension: an
+    alternative to the identity permutation for cross-checking branch
+    counts."""
+    rng = random.Random(seed)
+    ws = (w1, w2, w3)
+    t = Poly.variable("t", w1.vars)
+    for attempt in range(max_attempts):
+        rows = _draw_matrix(rng, attempt)
+        if det(rows) == 0:
+            continue
+        g = tuple(
+            sum((ws[j] * rows[s][j] for j in range(3)), Poly.zero(w1.vars))
+            for s in range(3)
+        )
+        if any(gs.is_zero() for gs in g):
+            continue
+        if curve_criterion_ideal(g[0], g[1]).quotient_dim() == INFINITE:
+            continue
+        if LocalIdeal([t, g[0], g[1]]).quotient_dim() == INFINITE:
+            continue
+        return GenericCombination(
+            tuple(map(tuple, rows)), g, identity_choice=False
+        )
+    raise AssertionError(f"no verified combination in {max_attempts} draws")

@@ -8,11 +8,13 @@ from cuspcount.branch_counter import (
     count_branches_positive_t,
     curve_criterion_ideal,
 )
-from cuspcount.errors import NoGenericCombinationFound, XiSearchExceededBound
+from cuspcount.elk_degree import local_degree
+from cuspcount.errors import XiSearchExceededBound
 from cuspcount.exprparse import parse_poly
 from cuspcount.polyring import Poly, VARS_TX, jacobian2, jacobian_det
+from cuspcount.standard_basis import INFINITE, LocalIdeal
 
-from support import EX1
+from support import EX1, flip_t, random_combination
 
 
 def p(text):
@@ -93,54 +95,48 @@ def test_branches_worked_family():
 
 def test_branches_negative_side_via_substitution():
     J, F1, F2 = ex1_triple()
-    negative = count_branches_positive_t(F1, F2, J, negate=True)
+    negative = count_branches_positive_t(flip_t(F1), flip_t(F2), flip_t(J))
     assert negative.b0 == 6  # three half-branch pairs at t < 0
 
 
 def test_k_stability():
     J, F1, F2 = ex1_triple()
     base = count_branches(F1, F2, J)
-    again = count_branches(F1, F2, J, k=base.k + 2)
-    assert again.b0 == base.b0
+    again = [local_degree(build_H(F1, F2, J, base.k + 2, sign)).degree
+             for sign in (1, -1)]
+    assert again[0] - again[1] == base.b0
 
 
 def test_choose_combination_identity_path():
     J, F1, F2 = ex1_triple()
     combo = choose_combination(J, F1, F2)
     assert combo.identity_choice
-    assert (combo.g1, combo.g2, combo.g3) == (F1, F2, J)
-    assert [[int(x) for x in row] for row in combo.matrix] == [
-        [0, 1, 0], [0, 0, 1], [1, 0, 0],
-    ]
+    assert combo.g == (F1, F2, J)
+    assert combo.matrix == ((0, 1, 0), (0, 0, 1), (1, 0, 0))
 
 
 def test_choose_combination_random_path_is_verified_and_stable():
     J, F1, F2 = ex1_triple()
-    combo = choose_combination(J, F1, F2, rng_seed=7, force_random=True)
+    combo = random_combination(J, F1, F2, seed=7)
     assert not combo.identity_choice
-    from cuspcount.standard_basis import INFINITE, LocalIdeal
-
-    assert curve_criterion_ideal(combo.g1, combo.g2).quotient_dim() != INFINITE
+    g1, g2, g3 = combo.g
+    assert curve_criterion_ideal(g1, g2).quotient_dim() != INFINITE
     t = Poly.variable("t", VARS_TX)
-    assert LocalIdeal([t, combo.g1, combo.g2]).quotient_dim() != INFINITE
+    assert LocalIdeal([t, g1, g2]).quotient_dim() != INFINITE
+    ws = (J, F1, F2)
+    for row, gs in zip(combo.matrix, combo.g):
+        assert gs == sum((w * c for w, c in zip(ws, row)), Poly.zero(VARS_TX))
     # same seed, same combination
-    again = choose_combination(J, F1, F2, rng_seed=7, force_random=True)
+    again = random_combination(J, F1, F2, seed=7)
     assert again.matrix == combo.matrix
 
 
 def test_matrix_choice_stability_of_b0():
     J, F1, F2 = ex1_triple()
     base = count_branches(F1, F2, J)
-    combo = choose_combination(J, F1, F2, rng_seed=11, force_random=True)
-    other = count_branches(combo.g1, combo.g2, combo.g3)
+    combo = random_combination(J, F1, F2, seed=11)
+    other = count_branches(*combo.g)
     assert other.b0 == base.b0
-    other_pos = count_branches_positive_t(combo.g1, combo.g2, combo.g3)
+    other_pos = count_branches_positive_t(*combo.g)
     assert other_pos.b0 == 2
 
-
-def test_no_generic_combination_for_degenerate_triple():
-    with pytest.raises(NoGenericCombinationFound):
-        choose_combination(
-            p("x1^2"), p("x1^2"), p("x1^2"),
-            rng_seed=0, max_attempts=6, force_random=True,
-        )

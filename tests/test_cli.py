@@ -110,7 +110,8 @@ def test_input_file_bad_line(tmp_path, capsys):
     config.write_text("f1 x1\n", encoding="utf-8")
     code, _, err = run_cli(capsys, "analyze", "--input", str(config))
     assert code == 1
-    assert "key=value" in err
+    assert "line 1: expected key=value" in err
+    assert "(at position" not in err
 
 
 def test_input_file_unknown_key(tmp_path, capsys):
@@ -120,6 +121,7 @@ def test_input_file_unknown_key(tmp_path, capsys):
     code, out, err = run_cli(capsys, "analyze", "--input", str(config))
     assert code == 1 and out == ""
     assert "line 3" in err and "'sed'" in err
+    assert "(at position" not in err
     # keys are case-sensitive: F1 must not let the command-line --f1 through
     config = tmp_path / "upper.txt"
     config.write_text(f"F1 = {EX1[0]}\nf2 = {EX1[1]}\n", encoding="utf-8")
@@ -128,6 +130,20 @@ def test_input_file_unknown_key(tmp_path, capsys):
     )
     assert code == 1 and out == ""
     assert "line 1" in err and "'F1'" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    # an expression error keeps its offset within the expression
+    ("f1 = x1 +\nf2 = x2\n", "line 1: unexpected 'end of input' (at position 4)"),
+    ("f1 = x1\nf2 = x2\nseed = abc\n", "line 3: invalid literal for int() with base 10: 'abc'"),
+    ("f1 = x1\nf2 = x2\nf1 = x2\n", "line 3: duplicate key 'f1'"),
+])
+def test_input_file_errors_name_their_line(tmp_path, capsys, text, message):
+    config = tmp_path / "family.txt"
+    config.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", "--input", str(config))
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_json_roundtrip(ex1_report):

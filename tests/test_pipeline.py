@@ -19,7 +19,7 @@ from cuspcount.errors import (
 from cuspcount.exprparse import parse_poly
 from cuspcount.polyring import VARS_TX
 
-from support import CRAFTED_FAMILIES, EX1
+from support import CRAFTED_FAMILIES, EX1, flip_t, swap_x
 
 
 def p(text):
@@ -143,6 +143,20 @@ def test_t_reversal_swaps_sigma():
                              base.sigma[0], base.sigma[1])
 
 
+@pytest.mark.parametrize("family", [EX1, *CRAFTED_FAMILIES])
+def test_degree_identities_under_coordinate_changes(family):
+    f1, f2 = p(family[0]), p(family[1])
+    s = run(f1, f2).sigma
+    # swapping x1 and x2 reverses the source's orientation, swapping f1 and
+    # f2 the target's: either alone exchanges the degree +1 and -1 counts
+    exchanged = (s[1], s[0], s[3], s[2])
+    assert run(swap_x(f1), swap_x(f2)).sigma == exchanged
+    assert run(f2, f1).sigma == exchanged
+    assert run(swap_x(f2), swap_x(f1)).sigma == s
+    # t -> -t exchanges the t > 0 and t < 0 halves
+    assert run(flip_t(f1), flip_t(f2)).sigma == (s[2], s[3], s[0], s[1])
+
+
 def test_symmetric_family_has_equal_sides():
     # f_t(x) = f_{-t}(-x) for this family, so both parameter signs agree
     r = run(p("x1"), p("x2^3 - x1^2*x2 + t^2*x2"))
@@ -156,7 +170,7 @@ def test_negative_side_branch_cross_check(family):
 
     d = _derive(p(family[0]), p(family[1]))
     r = run(p(family[0]), p(family[1]))
-    neg = count_branches_positive_t(d.F1, d.F2, d.J, negate=True)
+    neg = count_branches_positive_t(flip_t(d.F1), flip_t(d.F2), flip_t(d.J))
     assert neg.b0 % 2 == 0
     assert neg.b0 // 2 == r.b0 - r.b0_prime // 2
 

@@ -17,7 +17,7 @@ from cuspcount.polyring import (
 )
 from cuspcount.exprparse import parse_poly
 
-from support import random_poly
+from support import flip_t, random_poly
 
 
 def p(text, vars=VARS_TX):
@@ -116,7 +116,8 @@ def test_substitute_t_squared_examples():
 
 
 def test_substitute_t_negated():
-    assert substitute_t_squared(p("t + t^2"), negate=True) == p("-t^2 + t^4")
+    # t -> -t^2 is t -> -t followed by t -> t^2
+    assert substitute_t_squared(flip_t(p("t + t^2"))) == p("-t^2 + t^4")
 
 
 def test_set_t_zero_examples():
