@@ -29,7 +29,7 @@ expression grammar (whitespace-insensitive):
   atom   :=  integer ["/" integer] | t | x1 | x2 | "(" expr ")"
 multiplication is always explicit ("t*x1", never "t x1"); "/" only occurs
 inside rational literals such as 3/4; exponents are integers in
-[0, {EXPONENT_CAP}].
+[0, {EXPONENT_CAP}], and so is the degree of every expression in each variable.
 """
 
 JSON_SCHEMA_VERSION = 1

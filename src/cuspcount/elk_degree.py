@@ -10,6 +10,9 @@ degree < N by the span of the truncated multiples of the standard basis.
 The staircase and N are both handed over by the standard-basis completion.
 That description gives exact, canonical coordinates on the staircase basis by
 one top-down sweep over monomial relations; no normal-form units are involved.
+The sweeps keep monomials packed as the completion does, one int each, so a
+product is a sum, "degree < N" is one comparison, and the heap and the
+tables hold plain ints.
 
 The degree is then the signature of the bilinear form (a, b) -> phi(a*b),
 where phi is any linear functional positive on the class of the Jacobian
@@ -32,16 +35,15 @@ from .errors import (
     InternalInconsistency,
     NotAlgebraicallyIsolated,
 )
-from .polyring import (
-    Monomial,
-    Poly,
-    jacobian_det,
-    monomial_div,
-    monomial_divides,
-    monomial_mul,
-    monomial_sort_key,
+from .polyring import Monomial, Poly, jacobian_det
+from .standard_basis import (
+    FIELD_BITS,
+    INFINITE,
+    LocalIdeal,
+    guard_bits,
+    pack_monomial,
+    unpack_monomial,
 )
-from .standard_basis import INFINITE, LocalIdeal
 
 
 class LocalAlgebra:
@@ -49,7 +51,10 @@ class LocalAlgebra:
     coordinates relative to its staircase basis.
 
     The staircase basis and the truncation degree N are the ones the
-    standard-basis completion of the ideal hands over.
+    standard-basis completion of the ideal hands over.  cobasis lists the
+    staircase as exponent tuples; internally every monomial is packed
+    (standard_basis.pack_monomial), and functional_table is keyed by packed
+    monomials.
     """
 
     def __init__(self, ideal: LocalIdeal):
@@ -58,12 +63,16 @@ class LocalAlgebra:
                 "the germ's zero is not algebraically isolated "
                 "(local algebra is infinite-dimensional)"
             )
+        core = ideal._ensure_core()
         self.vars = ideal.vars
         self.cobasis: tuple[Monomial, ...] = ideal.cobasis()
         self.dim: int = len(self.cobasis)
-        self._index = {m: i for i, m in enumerate(self.cobasis)}
-        self._n: int = ideal.truncation_degree
-        self._rows = self._build_rows(ideal._ensure_core().reducers)
+        self._staircase: tuple[int, ...] = core.staircase
+        self._index = {m: i for i, m in enumerate(core.staircase)}
+        self._n: int = core.trunc
+        # packed monomials below _cap are those of degree < N
+        self._cap = self._n << (FIELD_BITS * len(self.vars))
+        self._rows = self._build_rows(core.reducers)
 
     # -- construction --------------------------------------------------------
 
@@ -71,40 +80,45 @@ class LocalAlgebra:
         """For each non-staircase monomial m of degree < N, in sort order, a
         relation m = -(1/lc) * sum(tail) modulo the ideal, from the shortest
         (then oldest) basis element whose lead divides m, shifted onto m."""
-        n = self._n
+        n, cap = self._n, self._cap
+        guards = guard_bits(len(self.vars))
         reducers = sorted(reducers, key=lambda r: (r.size, r.idx))
-        monomials = sorted(
-            (m for m in _iterproduct(*(range(n) for _ in self.vars))
-             if sum(m) < n and m not in self._index),
-            key=monomial_sort_key,
+        below = (
+            pack_monomial(m) for m in _iterproduct(*(range(n) for _ in self.vars))
+            if sum(m) < n
         )
-        rows: dict[Monomial, tuple[int, tuple[tuple[Monomial, int], ...]]] = {}
+        monomials = sorted(k for k in below if k not in self._index)
+        rows: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}
         for m in monomials:
-            best = next((r for r in reducers if monomial_divides(r.lm, m)), None)
+            mg = m | guards
+            best = next((r for r in reducers if (mg - r.lm) & guards == guards), None)
             if best is None:
                 raise InternalInconsistency(
-                    f"monomial {m} is neither standard nor reducible"
+                    f"monomial {unpack_monomial(m, len(self.vars))} is neither "
+                    "standard nor reducible"
                 )
-            w = monomial_div(m, best.lm)
-            room = n - sum(w)
+            w = m - best.lm
+            room = cap - w
             rows[m] = (best.lc, tuple(
-                (monomial_mul(mono, w), c) for mono, c in best.tail if sum(mono) < room
+                (mono + w, c) for mono, c in best.tail if mono < room
             ))
         return rows
 
     # -- canonical reduction --------------------------------------------------
 
-    def functional_table(self, m_star: Monomial) -> dict[Monomial, Fraction]:
-        """Values of the dual functional of the staircase monomial m_star on
-        the classes of all monomials of degree < N."""
+    def functional_table(self, m_star: int) -> dict[int, Fraction]:
+        """Values of the dual functional of the packed staircase monomial
+        m_star on the classes of all monomials of degree < N, keyed by packed
+        monomial."""
         if m_star not in self._index:
-            raise ValueError(f"{m_star} is not a staircase monomial")
+            raise ValueError(f"{m_star!r} is not a packed staircase monomial")
+        index = self._index
         table = {}
         for m in reversed(self._rows):  # smallest first
             lc, tail = self._rows[m]
             acc = Fraction(0)
             for mono, c in tail:
-                if mono in self._index:
+                if mono in index:
                     if mono == m_star:
                         acc += c
                 else:
@@ -112,7 +126,7 @@ class LocalAlgebra:
                     if v:
                         acc += c * v
             table[m] = -acc / lc
-        for m in self.cobasis:
+        for m in self._staircase:
             table[m] = Fraction(1 if m == m_star else 0)
         return table
 
@@ -126,12 +140,12 @@ class LocalAlgebra:
         """
         if p.vars != self.vars:
             raise ValueError("ambient mismatch")
-        index, rows = self._index, self._rows
-        h = {m: c for m, c in p.terms.items() if sum(m) < self._n}
-        heap = [(monomial_sort_key(m), m) for m in h if m not in index]
+        index, rows, n = self._index, self._rows, self._n
+        h = {pack_monomial(m): c for m, c in p.terms.items() if sum(m) < n}
+        heap = [m for m in h if m not in index]
         heapq.heapify(heap)
         while heap:
-            _, m = heapq.heappop(heap)
+            m = heapq.heappop(heap)
             c = h.pop(m, None)
             if c is None:
                 continue  # cancelled after it was pushed
@@ -143,7 +157,7 @@ class LocalAlgebra:
                 if new:
                     h[mono] = new
                     if old is None and mono not in index:
-                        heapq.heappush(heap, (monomial_sort_key(mono), mono))
+                        heapq.heappush(heap, mono)
                 elif old is not None:
                     del h[mono]
         vec = [Fraction(0)] * self.dim
@@ -264,39 +278,40 @@ def local_degree(germ: Sequence[Poly]) -> DegreeCertificate:
 
     jdet = jacobian_det(germ)
     jclass = algebra.coords(jdet)
-    m_star = None
+    star = None
     for i in range(algebra.dim - 1, -1, -1):
         if jclass[i] != 0:
-            m_star = algebra.cobasis[i]
+            star = i
             sign = 1 if jclass[i] > 0 else -1
             break
-    if m_star is None:
+    if star is None:
         raise DegenerateJacobianClass(
             "the Jacobian determinant vanishes in the local algebra; "
             "the zero is not algebraically isolated"
         )
 
-    table = algebra.functional_table(m_star)
-    n_cap = algebra._n
+    staircase = algebra._staircase
+    table = algebra.functional_table(staircase[star])
+    cap = algebra._cap
     dim = algebra.dim
     zero_row = [Fraction(0)] * dim
     b = [zero_row[:] for _ in range(dim)]
-    for i, mi in enumerate(algebra.cobasis):
+    for i, mi in enumerate(staircase):
         for j in range(i, dim):
-            prod = monomial_mul(mi, algebra.cobasis[j])
-            if sum(prod) < n_cap:
-                v = table[prod]
-                if v:
-                    b[i][j] = b[j][i] = v if sign > 0 else -v
+            # the staircase ascends in degree: so do the products mi * mj
+            prod = mi + staircase[j]
+            if prod >= cap:
+                break
+            v = table[prod]
+            if v:
+                b[i][j] = b[j][i] = v if sign > 0 else -v
 
     pos, neg, zero = signature(b)
     if zero:
         raise InternalInconsistency(
             "residue pairing is degenerate despite a nonzero Jacobian class"
         )
-    functional = tuple(
-        Fraction(sign if m == m_star else 0) for m in algebra.cobasis
-    )
+    functional = tuple(Fraction(sign if k == star else 0) for k in range(dim))
     phi_j = sum(f * c for f, c in zip(functional, jclass))
     if phi_j <= 0:
         raise InternalInconsistency("chosen functional is not positive on the Jacobian class")

@@ -17,6 +17,11 @@ class DimensionInfinite(CuspCountError):
     """A quotient that must be finite-dimensional is not."""
 
 
+class ExponentOverflow(CuspCountError):
+    """A standard-basis computation reaches a degree its packed monomials
+    cannot hold."""
+
+
 class HypothesisError(CuspCountError):
     """The input family fails one of the method's hypotheses (CLI exit 2)."""
 

@@ -10,6 +10,13 @@ Accepted syntax (also shown in the CLI help):
 Multiplication must be written explicitly ("t*x1", never "t x1" or "tx1"),
 "/" is only allowed inside a rational literal such as 3/4, and exponents are
 non-negative integers up to EXPONENT_CAP.  Whitespace is ignored.
+
+EXPONENT_CAP also bounds the degree of the parsed polynomial in each
+variable, so nested powers and products cannot get past it: "(x1^8)^8" is
+accepted, "(x1^64)^64" and "x1^64*x1" are not.  The degree in a variable of
+a product is the sum of the factors' degrees and that of a power is the
+exponent times the base's, so the "^" or "*" that would first exceed the cap
+is rejected before its result is expanded.
 """
 
 from __future__ import annotations
@@ -53,6 +60,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             raise ParseError(f"unexpected character {ch!r}", i)
     tokens.append(("END", "", n))
     return tokens
+
+
+def _degrees(p: Poly) -> list[int]:
+    """Degree of p in each variable (all 0 for the zero polynomial)."""
+    return [max(e) for e in zip(*p.terms)] if p.terms else [0] * len(p.vars)
 
 
 class _Parser:
@@ -103,7 +115,11 @@ class _Parser:
             kind, value, at = self.peek()
             if kind == "OP" and value == "*":
                 self.advance()
-                acc = acc * self.unary()
+                rhs = self.unary()
+                self.check_degrees(
+                    [a + b for a, b in zip(_degrees(acc), _degrees(rhs))], at
+                )
+                acc = acc * rhs
             elif kind in ("NAME", "NUM") or (kind == "OP" and value == "("):
                 raise ParseError("adjacent factors need an explicit '*'", at)
             else:
@@ -118,7 +134,7 @@ class _Parser:
 
     def power(self) -> Poly:
         base = self.atom()
-        kind, value, at = self.peek()
+        kind, value, op_at = self.peek()
         if kind == "OP" and value == "^":
             self.advance()
             kind, value, at = self.peek()
@@ -130,8 +146,18 @@ class _Parser:
             e = int(value)
             if e > EXPONENT_CAP:
                 raise ParseError(f"exponent {e} exceeds the cap of {EXPONENT_CAP}", at)
+            self.check_degrees([e * d for d in _degrees(base)], op_at)
             return base**e
         return base
+
+    def check_degrees(self, degrees: list[int], at: int) -> None:
+        """Rejects the operator at `at` when its result would have a degree
+        above EXPONENT_CAP in some variable."""
+        for v, d in zip(self.vars, degrees):
+            if d > EXPONENT_CAP:
+                raise ParseError(
+                    f"degree {d} in {v} exceeds the cap of {EXPONENT_CAP}", at
+                )
 
     def atom(self) -> Poly:
         kind, value, at = self.advance()

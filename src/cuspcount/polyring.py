@@ -15,7 +15,7 @@ constant term always prints first.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, le, sub
+from operator import add
 from typing import Mapping, Sequence
 
 Monomial = tuple[int, ...]
@@ -27,20 +27,6 @@ VARS_X = ("x1", "x2")
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(map(add, a, b))
-
-
-def monomial_divides(a: Monomial, b: Monomial) -> bool:
-    """True when a | b, i.e. every exponent of a is <= that of b."""
-    return all(map(le, a, b))
-
-
-def monomial_div(a: Monomial, b: Monomial) -> Monomial:
-    """a / b; caller guarantees divisibility."""
-    return tuple(map(sub, a, b))
-
-
-def monomial_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(max, a, b))
 
 
 def monomial_sort_key(m: Monomial):

@@ -25,7 +25,7 @@ equality, so p lies in I exactly when the standard basis of I + <p> has no
 lead outside L(I).  This needs no normal form and no unit bookkeeping, and
 it treats finite and infinite codimension alike.
 
-Three facts are exploited for speed, all exact:
+Four facts are exploited for speed, all exact:
 
 * Once the partial basis has a pure power of every variable among its lead
   monomials, every monomial of degree >= D := 1 + (max staircase degree)
@@ -38,6 +38,12 @@ Three facts are exploited for speed, all exact:
 * The staircase, and with it the truncation degree, is recomputed only when
   a new lead is divisible by no lead already in the basis; any other lead
   leaves the lead ideal as it was.
+* Every monomial is one int (pack_monomial): the product of two monomials
+  is the sum of their ints, divisibility is one subtraction and a mask test,
+  and ascending int order is the monomial order, so heaps and sorted tails
+  hold plain ints and "degree < D" is the comparison m < D << shift.  A
+  completion whose degrees would outgrow the fixed-width exponent fields
+  raises ExponentOverflow instead.
 
 The staircase of the last such recomputation is therefore the staircase of
 the finished basis, and the completion hands it over: quotient dimensions and
@@ -51,57 +57,111 @@ import threading
 from fractions import Fraction
 from itertools import product as _iterproduct
 from math import gcd, inf
+from operator import le
 from typing import Sequence
 
-from .errors import DimensionInfinite
-from .polyring import (
-    Monomial,
-    Poly,
-    monomial_div,
-    monomial_divides,
-    monomial_lcm,
-    monomial_mul,
-    monomial_sort_key,
-)
+from .errors import DimensionInfinite, ExponentOverflow
+from .polyring import Monomial, Poly
 
 #: returned by quotient_dim when the quotient is not finite-dimensional
 INFINITE = inf
 
+#: width of one exponent field of a packed monomial; the top bit of each
+#: field is a guard bit that stays clear
+FIELD_BITS = 16
+#: largest homogeneous degree, and so largest exponent, a completion holds
+MAX_DEGREE = (1 << (FIELD_BITS - 1)) - 1
+_FIELD = (1 << FIELD_BITS) - 1
+
 
 # ---------------------------------------------------------------------------
-# integer polynomial helpers
+# packed monomials
 # ---------------------------------------------------------------------------
 
 
-def _primitive(terms: dict[Monomial, int]) -> dict[Monomial, int]:
+def pack_monomial(m: Monomial) -> int:
+    """The monomial as one int: its degree in the top field and below it the
+    exponents from the last variable down to the first, FIELD_BITS each.
+
+    With shift = FIELD_BITS * len(m), the degree is k >> shift; ascending int
+    order is monomial_sort_key order, and the product of two monomials is the
+    sum of their ints.  The packing is exact when every exponent is at most
+    MAX_DEGREE.  A larger one sets its guard bit or carries into the fields
+    above, and the packed degree, never below the true one, then exceeds
+    MAX_DEGREE.
+    """
+    k = sum(m)
+    for e in reversed(m):
+        k = (k << FIELD_BITS) + e
+    return k
+
+
+def unpack_monomial(k: int, nvars: int) -> Monomial:
+    """The exponent tuple of a packed monomial in nvars variables."""
+    return tuple((k >> (FIELD_BITS * i)) & _FIELD for i in range(nvars))
+
+
+def guard_bits(nvars: int) -> int:
+    """The guard bits G of the exponent fields.  For packed a and b,
+    a | b exactly when ((b | G) - a) & G == G: each field of b - a is
+    computed above its set guard bit, so no field borrows from the next, and
+    a field keeps its guard exactly when b's exponent is at least a's."""
+    return sum(1 << (FIELD_BITS * i + FIELD_BITS - 1) for i in range(nvars))
+
+
+def _divides(a: int, b: int, guards: int) -> bool:
+    return ((b | guards) - a) & guards == guards
+
+
+def _lcm(a: int, b: int, guards: int, shift: int) -> int:
+    """Least common multiple of two packed monomials, field by field."""
+    # all bits of the fields in which a's exponent is at least b's
+    take_a = ((((a | guards) - b) & guards) >> (FIELD_BITS - 1)) * _FIELD
+    x = (a & take_a) | (b & ~take_a & ((1 << shift) - 1))
+    deg = sum((x >> s) & _FIELD for s in range(0, shift, FIELD_BITS))
+    return (deg << shift) | x
+
+
+def _check_degree(d: int) -> None:
+    if d > MAX_DEGREE:
+        raise ExponentOverflow(
+            f"degree {d} exceeds {MAX_DEGREE}, the largest a packed "
+            "monomial of the standard-basis completion holds"
+        )
+
+
+# ---------------------------------------------------------------------------
+# integer polynomial helpers (terms keyed by packed monomials)
+# ---------------------------------------------------------------------------
+
+
+def _primitive(terms: dict[int, int]) -> dict[int, int]:
     """Strip integer content and normalize the lead coefficient positive."""
     if not terms:
         return terms
     g = 0
     for c in terms.values():
         g = gcd(g, c)
-    lm = min(terms, key=monomial_sort_key)
-    if terms[lm] < 0:
+    if terms[min(terms)] < 0:
         g = -g
     if g == 1:
         return terms
     return {m: c // g for m, c in terms.items()}
 
 
-def _to_int_terms(p: Poly) -> dict[Monomial, int]:
-    """Clear denominators; result is primitive with positive lead coefficient."""
+def _to_int_terms(p: Poly) -> dict[int, int]:
+    """Clear denominators and pack; the result is primitive with positive
+    lead coefficient."""
     if p.is_zero():
         return {}
     den = 1
     for c in p.terms.values():
         den = den * c.denominator // gcd(den, c.denominator)
-    return _primitive({m: int(c * den) for m, c in p.terms.items()})
+    return _primitive({pack_monomial(m): int(c * den) for m, c in p.terms.items()})
 
 
-def _truncate(terms: dict[Monomial, int], trunc: int | None) -> dict[Monomial, int]:
-    if trunc is None:
-        return terms
-    return {m: c for m, c in terms.items() if sum(m) < trunc}
+def _truncate(terms: dict[int, int], lim: int) -> dict[int, int]:
+    return {m: c for m, c in terms.items() if m < lim}
 
 
 # ---------------------------------------------------------------------------
@@ -110,63 +170,61 @@ def _truncate(terms: dict[Monomial, int], trunc: int | None) -> dict[Monomial, i
 
 
 class _Elem:
-    """A homogeneous basis element: x-part terms plus its total degree.
+    """A homogeneous basis element: packed x-part terms plus its total degree.
 
     A term x^m carries an implicit factor of the homogenizing variable with
     exponent d - |m|.  The >-lead of a homogeneous element is the term whose
-    x-part is largest in the local order.
+    x-part is largest in the local order, i.e. the smallest packed int; the
+    tail is sorted ascending.
     """
 
     __slots__ = ("d", "lm", "lc", "a", "tail", "size", "idx")
 
-    def __init__(self, terms: dict[Monomial, int], d: int, idx: int):
-        lm = min(terms, key=monomial_sort_key)
+    def __init__(self, terms: dict[int, int], d: int, idx: int, shift: int):
+        lm = min(terms)
         self.d = d
         self.lm = lm
         self.lc = terms[lm]
-        self.a = d - sum(lm)  # homogenizer exponent of the lead
-        self.tail = tuple(sorted(
-            ((m, c) for m, c in terms.items() if m != lm),
-            key=lambda t: monomial_sort_key(t[0]),
-        ))
+        self.a = d - (lm >> shift)  # homogenizer exponent of the lead
+        self.tail = tuple(sorted((m, c) for m, c in terms.items() if m != lm))
         self.size = 1 + len(self.tail)
         self.idx = idx
 
-    def terms(self) -> dict[Monomial, int]:
+    def terms(self) -> dict[int, int]:
         out = {self.lm: self.lc}
         out.update(self.tail)
         return out
 
 
-def _hspoly(f: _Elem, g: _Elem, trunc: int | None) -> tuple[int, dict[Monomial, int]]:
-    """S-polynomial in the homogenized ring; returns (degree, x-part terms)."""
-    lcm_x = monomial_lcm(f.lm, g.lm)
-    a = max(f.a, g.a)
-    d_sp = a + sum(lcm_x)
+def _hspoly(f: _Elem, g: _Elem, lcm: int, lim: int) -> dict[int, int]:
+    """x-part of the s-polynomial of f and g, whose leads have the packed
+    lcm, without the terms at or above lim.  A tail shifted by a monomial
+    stays sorted, so each loop stops at its first term past lim."""
     cl = f.lc * g.lc // gcd(f.lc, g.lc)
     af, ag = cl // f.lc, cl // g.lc
-    wf, wg = monomial_div(lcm_x, f.lm), monomial_div(lcm_x, g.lm)
-    out: dict[Monomial, int] = {}
+    wf, wg = lcm - f.lm, lcm - g.lm
+    out: dict[int, int] = {}
     for m, c in f.tail:
-        mm = monomial_mul(m, wf)
-        if trunc is not None and sum(mm) >= trunc:
-            continue
-        out[mm] = out.get(mm, 0) + af * c
+        mm = m + wf
+        if mm >= lim:
+            break
+        out[mm] = af * c
     for m, c in g.tail:
-        mm = monomial_mul(m, wg)
-        if trunc is not None and sum(mm) >= trunc:
-            continue
+        mm = m + wg
+        if mm >= lim:
+            break
         s = out.get(mm, 0) - ag * c
         if s:
             out[mm] = s
         else:
             out.pop(mm, None)
-    return d_sp, out
+    return out
 
 
 def _hreduce(
-    d_p: int, p_terms: dict[Monomial, int], basis: list[_Elem], trunc: int | None
-) -> dict[Monomial, int]:
+    d_p: int, p_terms: dict[int, int], basis: list[_Elem], trunc: int | None,
+    nvars: int,
+) -> dict[int, int]:
     """Full reduction of a homogeneous polynomial of degree d_p.
 
     A term x^m (implicit homogenizer exponent d_p - |m|) is reducible by r
@@ -177,26 +235,30 @@ def _hreduce(
     coefficient, everything is multiplied by it instead, so coefficients
     stay integers and only their common scale differs from the rational
     reduction.  The result is primitive integer, which removes that scale.
+    Terms of degree trunc or more are dropped.
     """
-    reducers = sorted(basis, key=lambda r: (r.size, r.idx))
-    h: dict[Monomial, int] = {}
-    heap: list[tuple] = []
-    for m, c in p_terms.items():
-        if trunc is not None and sum(m) >= trunc:
-            continue
-        h[m] = c
-        heapq.heappush(heap, (monomial_sort_key(m), m))
-    out: dict[Monomial, int] = {}
+    shift = FIELD_BITS * nvars
+    guards = guard_bits(nvars)
+    lim = (MAX_DEGREE + 1 if trunc is None else trunc) << shift
+    # r.a <= d_p - |m| is m < top
+    reducers = [
+        ((d_p - r.a + 1) << shift, r.lm, r)
+        for r in sorted(basis, key=lambda r: (r.size, r.idx))
+    ]
+    h = {m: c for m, c in p_terms.items() if m < lim}
+    heap = list(h)
+    heapq.heapify(heap)
+    out: dict[int, int] = {}
     while heap:
-        _, m = heapq.heappop(heap)
+        m = heapq.heappop(heap)
         c = h.pop(m, None)
         if c is None:
             continue
-        hexp = d_p - sum(m)
-        red = next(
-            (r for r in reducers if r.a <= hexp and monomial_divides(r.lm, m)), None
-        )
-        if red is None:
+        mg = m | guards
+        for top, lm, red in reducers:
+            if m < top and (mg - lm) & guards == guards:
+                break
+        else:
             out[m] = c
             continue
         g = gcd(c, red.lc)
@@ -204,16 +266,16 @@ def _hreduce(
         if scale != 1:
             h = {mm: cc * scale for mm, cc in h.items()}
             out = {mm: cc * scale for mm, cc in out.items()}
-        w = monomial_div(m, red.lm)
+        w = m - lm
         for mono, cc in red.tail:
-            mm = monomial_mul(mono, w)
-            if trunc is not None and sum(mm) >= trunc:
-                continue
+            mm = mono + w
+            if mm >= lim:
+                break
             d = q * cc
             old = h.get(mm)
             if old is None:
                 h[mm] = -d
-                heapq.heappush(heap, (monomial_sort_key(mm), mm))
+                heapq.heappush(heap, mm)
             elif old == d:
                 del h[mm]
             else:
@@ -249,7 +311,7 @@ def _staircase(
         if trunc is not None:
             top = min(top, trunc - sum(prefix))
         for lm in leads:
-            if lm[-1] < top and monomial_divides(lm[:-1], prefix):
+            if lm[-1] < top and all(map(le, lm[:-1], prefix)):
                 top = lm[-1]
         out.extend(prefix + (k,) for k in range(top))
     return out
@@ -263,8 +325,9 @@ def _staircase(
 class _Core:
     """Result of a completed standard-basis computation.
 
-    staircase is sorted by monomial_sort_key; it is None when the quotient
-    is infinite-dimensional and () for the unit ideal.
+    staircase holds packed monomials in ascending order (largest monomial
+    first); it is None when the quotient is infinite-dimensional and () for
+    the unit ideal.
     """
 
     __slots__ = ("reducers", "trunc", "staircase")
@@ -273,26 +336,28 @@ class _Core:
         self,
         reducers: list[_Elem],
         trunc: int | None,
-        staircase: tuple[Monomial, ...] | None,
+        staircase: tuple[int, ...] | None,
     ):
         self.reducers = reducers
         self.trunc = trunc
         self.staircase = staircase
 
 
-def _complete(gens: list[dict[Monomial, int]], nvars: int) -> _Core:
+def _complete(gens: list[dict[int, int]], nvars: int) -> _Core:
+    shift = FIELD_BITS * nvars
+    guards = guard_bits(nvars)
     elems: list[_Elem] = []
     alive: list[bool] = []
-    pairs: list[tuple] = []
+    pairs: list[tuple[int, int, int, int]] = []
     done: set[tuple[int, int]] = set()
     trunc: int | None = None
+    lim = (MAX_DEGREE + 1) << shift  # packed truncation bound
     staircase: list[Monomial] | None = None
-    zero_mono = tuple([0] * nvars)
-    unit = _Core([_Elem({zero_mono: 1}, 0, 0)], 0, ())
+    unit = _Core([_Elem({0: 1}, 0, 0, shift)], 0, ())
 
     def refresh_truncation() -> None:
-        nonlocal trunc, staircase
-        leads = [e.lm for e, a in zip(elems, alive) if a]
+        nonlocal trunc, lim, staircase
+        leads = [unpack_monomial(e.lm, nvars) for e, a in zip(elems, alive) if a]
         st = _staircase(leads, nvars, trunc)
         if st is None:
             return
@@ -303,33 +368,37 @@ def _complete(gens: list[dict[Monomial, int]], nvars: int) -> _Core:
         new_trunc = 1 + max((sum(m) for m in st), default=0)
         if trunc is not None and new_trunc >= trunc:
             return
+        # the basis gains monomials of degree trunc
+        _check_degree(new_trunc)
         trunc = new_trunc
+        lim = trunc << shift
         for i, e in enumerate(elems):
             if not alive[i]:
                 continue
-            cut = _truncate(e.terms(), trunc)
+            cut = _truncate(e.terms(), lim)
             if not cut:
                 alive[i] = False
             elif len(cut) != e.size:
-                elems[i] = _Elem(_primitive(cut), e.d, e.idx)
+                elems[i] = _Elem(_primitive(cut), e.d, e.idx, shift)
 
-    def add(terms: dict[Monomial, int], d: int) -> bool:
+    def add(terms: dict[int, int], d: int) -> bool:
         """Returns True when the dehomogenized ideal is the whole local ring."""
-        terms = _primitive(_truncate(terms, trunc))
+        terms = _primitive(_truncate(terms, lim))
         if not terms:
             return False
-        e = _Elem(terms, d, len(elems))
-        if e.lm == zero_mono:
+        e = _Elem(terms, d, len(elems), shift)
+        if e.lm == 0:
             return True
         for j, other in enumerate(elems):
             if not alive[j]:
                 continue
-            lcm_x = monomial_lcm(e.lm, other.lm)
-            key = (max(e.a, other.a) + sum(lcm_x), monomial_sort_key(lcm_x))
-            heapq.heappush(pairs, (key, j, e.idx))
+            lcm = _lcm(e.lm, other.lm, guards, shift)
+            heapq.heappush(
+                pairs, (max(e.a, other.a) + (lcm >> shift), lcm, j, e.idx)
+            )
         # a lead divisible by an alive lead leaves the staircase as it is
         moves_staircase = not any(
-            a and monomial_divides(other.lm, e.lm) for other, a in zip(elems, alive)
+            a and _divides(other.lm, e.lm, guards) for other, a in zip(elems, alive)
         )
         elems.append(e)
         alive.append(True)
@@ -338,23 +407,22 @@ def _complete(gens: list[dict[Monomial, int]], nvars: int) -> _Core:
         return False
 
     for g in gens:
-        d = max(sum(m) for m in g)
+        d = max(g) >> shift
+        _check_degree(d)
         if add(g, d):
             return unit
 
     while pairs:
-        _, i, j = heapq.heappop(pairs)
+        d_sp, lcm, i, j = heapq.heappop(pairs)
         done.add((i, j))
         if not (alive[i] and alive[j]):
             continue
         ei, ej = elems[i], elems[j]
-        lcm_x = monomial_lcm(ei.lm, ej.lm)
-        if trunc is not None and sum(lcm_x) >= trunc:
+        if trunc is not None and lcm >= lim:
             continue
         # product criterion: coprime x-leads and one lead free of the
         # homogenizer make the s-polynomial reduce to zero
-        if (min(ei.a, ej.a) == 0
-                and all(min(a, b) == 0 for a, b in zip(ei.lm, ej.lm))):
+        if min(ei.a, ej.a) == 0 and lcm == ei.lm + ej.lm:
             continue
         # chain criterion
         skip = False
@@ -362,18 +430,19 @@ def _complete(gens: list[dict[Monomial, int]], nvars: int) -> _Core:
         for k, ek in enumerate(elems):
             if k == i or k == j or not alive[k]:
                 continue
-            if (ek.a <= lcm_a and monomial_divides(ek.lm, lcm_x)
+            if (ek.a <= lcm_a and _divides(ek.lm, lcm, guards)
                     and (min(i, k), max(i, k)) in done
                     and (min(j, k), max(j, k)) in done):
                 skip = True
                 break
         if skip:
             continue
-        d_sp, sp = _hspoly(ei, ej, trunc)
+        _check_degree(d_sp)
+        sp = _hspoly(ei, ej, lcm, lim)
         if not sp:
             continue
         reducers = [e for e, a in zip(elems, alive) if a]
-        nf = _hreduce(d_sp, sp, reducers, trunc)
+        nf = _hreduce(d_sp, sp, reducers, trunc, nvars)
         if not nf:
             continue
         if add(nf, d_sp):
@@ -384,8 +453,8 @@ def _complete(gens: list[dict[Monomial, int]], nvars: int) -> _Core:
     kept: list[_Elem] = []
     for e in final:
         if not any(
-            other is not e and monomial_divides(other.lm, e.lm)
-            and (monomial_div(e.lm, other.lm) != zero_mono or other.idx < e.idx)
+            other is not e and _divides(other.lm, e.lm, guards)
+            and (e.lm != other.lm or other.idx < e.idx)
             for other in final
         ):
             kept.append(e)
@@ -396,11 +465,14 @@ def _complete(gens: list[dict[Monomial, int]], nvars: int) -> _Core:
     # full lead ideal on its own (they leave the staircase as it is)
     leads = [e.lm for e in kept]
     idx = len(elems)
-    for mono in _iterproduct(*(range(trunc + 1) for _ in range(nvars))):
-        if sum(mono) == trunc and not any(monomial_divides(lm, mono) for lm in leads):
-            kept.append(_Elem({mono: 1}, trunc, idx))
+    for prefix in _iterproduct(*(range(trunc + 1) for _ in range(nvars - 1))):
+        if sum(prefix) > trunc:
+            continue
+        k = pack_monomial(prefix + (trunc - sum(prefix),))
+        if not any(_divides(lm, k, guards) for lm in leads):
+            kept.append(_Elem({k: 1}, trunc, idx, shift))
             idx += 1
-    return _Core(kept, trunc, tuple(sorted(staircase, key=monomial_sort_key)))
+    return _Core(kept, trunc, tuple(sorted(map(pack_monomial, staircase))))
 
 
 # ---------------------------------------------------------------------------
@@ -442,15 +514,18 @@ class LocalIdeal:
 
     @property
     def std_basis(self) -> tuple[Poly, ...]:
-        core = self._ensure_core()
+        n = len(self.vars)
         return tuple(
-            Poly(self.vars, {m: Fraction(c) for m, c in e.terms().items()})
-            for e in core.reducers
+            Poly(self.vars, {
+                unpack_monomial(m, n): Fraction(c) for m, c in e.terms().items()
+            })
+            for e in self._ensure_core().reducers
         )
 
     @property
     def lead_monomials(self) -> tuple[Monomial, ...]:
-        return tuple(e.lm for e in self._ensure_core().reducers)
+        n = len(self.vars)
+        return tuple(unpack_monomial(e.lm, n) for e in self._ensure_core().reducers)
 
     @property
     def truncation_degree(self) -> int | None:
@@ -469,11 +544,12 @@ class LocalIdeal:
         """
         if p.vars != self.vars:
             raise ValueError("ambient mismatch")
-        mine = self.lead_monomials
-        bigger = LocalIdeal(list(self.generators) + [p])
+        guards = guard_bits(len(self.vars))
+        mine = [e.lm for e in self._ensure_core().reducers]
+        bigger = LocalIdeal(list(self.generators) + [p])._ensure_core()
         return all(
-            any(monomial_divides(lm, lead) for lm in mine)
-            for lead in bigger.lead_monomials
+            any(_divides(lm, e.lm, guards) for lm in mine)
+            for e in bigger.reducers
         )
 
     def quotient_dim(self):
@@ -489,4 +565,5 @@ class LocalIdeal:
             raise DimensionInfinite(
                 f"ideal in {self.vars} has infinite codimension"
             )
-        return st
+        n = len(self.vars)
+        return tuple(unpack_monomial(m, n) for m in st)

@@ -76,6 +76,14 @@ def test_parse_error_exit_code(capsys):
     assert "position" in err
 
 
+def test_nested_power_past_the_cap_is_a_parse_error(capsys):
+    code, _, err = run_cli(
+        capsys, "analyze", "--f1", "((x1^64)^64)^64 + x2^2 + t*x1", "--f2", "x1*x2"
+    )
+    assert code == 1
+    assert "cap of 64" in err and "position 8" in err
+
+
 def test_usage_error_exit_code(capsys):
     code, _, _ = run_cli(capsys, "analyze")
     assert code == 1

@@ -25,6 +25,7 @@ from cuspcount.polyring import (
     set_t_zero,
     substitute_t_squared,
 )
+from cuspcount.standard_basis import pack_monomial
 
 from oracle import germ_is_oracle_friendly, preimage_degree, winding_degree
 from support import CRAFTED_FAMILIES, EX1, random_origin_poly
@@ -115,10 +116,10 @@ def _assert_sweeps_are_dual(algebra):
     n = algebra._n
     nv = len(algebra.vars)
     monos = [m for m in product(range(n), repeat=nv) if sum(m) < n]
-    tables = [algebra.functional_table(b) for b in algebra.cobasis]
+    tables = [algebra.functional_table(pack_monomial(b)) for b in algebra.cobasis]
     for m in monos:
         vec = algebra.coords(_mono(m, algebra.vars))
-        assert vec == tuple(table[m] for table in tables), m
+        assert vec == tuple(table[pack_monomial(m)] for table in tables), m
 
 
 def test_coords_dual_to_functional_tables_ex1():
@@ -362,14 +363,15 @@ def test_functional_choice_does_not_change_degree():
     assert len(admissible) >= 1
     for i in admissible:
         sign = 1 if jclass[i] > 0 else -1
-        table = algebra.functional_table(algebra.cobasis[i])
+        table = algebra.functional_table(pack_monomial(algebra.cobasis[i]))
         n_cap = algebra._n
         b = []
         for r, mr in enumerate(algebra.cobasis):
             row = []
             for c, mc in enumerate(algebra.cobasis):
                 prod = monomial_mul(mr, mc)
-                row.append(sign * table[prod] if sum(prod) < n_cap else Fraction(0))
+                row.append(sign * table[pack_monomial(prod)] if sum(prod) < n_cap
+                           else Fraction(0))
             b.append(row)
         pos, neg, zero = signature(b)
         assert zero == 0

@@ -89,6 +89,16 @@ def test_exponent_cap():
         parse_poly(f"x1^{EXPONENT_CAP + 1}")
 
 
+def test_exponent_cap_bounds_nested_powers_and_products():
+    assert parse_poly("(x1^8)^8") == parse_poly(f"x1^{EXPONENT_CAP}")
+    # the error sits at the '^' or '*' whose result first exceeds the cap
+    for text, at in (("(x1^64)^64", 7), ("((x1^64)^64)^64", 8), ("x1^64*x1", 5),
+                     ("(x1^32*x2)^3", 10)):
+        with pytest.raises(ParseError, match=f"cap of {EXPONENT_CAP}") as e:
+            parse_poly(text)
+        assert e.value.position == at, text
+
+
 def test_adjacency_rejected():
     with pytest.raises(ParseError) as e:
         parse_poly("2 x1")

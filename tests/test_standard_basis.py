@@ -6,11 +6,23 @@ from math import gcd
 import pytest
 
 from cuspcount.elk_degree import LocalAlgebra, build_algebra
-from cuspcount.errors import DimensionInfinite
+from cuspcount.errors import DimensionInfinite, ExponentOverflow
 from cuspcount.exprparse import parse_poly
-from cuspcount.polyring import Poly, VARS_TX, VARS_X, jacobian2
-from cuspcount.polyring import monomial_divides, monomial_sort_key
-from cuspcount.standard_basis import INFINITE, LocalIdeal, _Elem, _hreduce, _staircase
+from cuspcount.polyring import Poly, VARS_TX, VARS_X, jacobian2, monomial_sort_key
+from cuspcount.standard_basis import (
+    FIELD_BITS,
+    INFINITE,
+    MAX_DEGREE,
+    LocalIdeal,
+    _divides,
+    _Elem,
+    _hreduce,
+    _lcm,
+    _staircase,
+    guard_bits,
+    pack_monomial,
+    unpack_monomial,
+)
 
 from support import EX1, random_origin_poly, random_poly
 
@@ -159,24 +171,84 @@ def test_staircase_with_truncation_matches_enumeration():
         assert sorted(got) == expected, (leads, trunc)
 
 
+def _divides_tuple(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def test_packed_monomials_match_tuple_definitions():
+    rng = random.Random(39)
+    edge = (0, 1, MAX_DEGREE - 1, MAX_DEGREE)
+    for trial in range(2000):
+        nvars = rng.choice((1, 2, 3))
+        shift = FIELD_BITS * nvars
+        guards = guard_bits(nvars)
+
+        def draw():
+            return tuple(
+                rng.choice(edge) if rng.random() < 0.3 else rng.randint(0, 6)
+                for _ in range(nvars)
+            )
+
+        a, b = draw(), draw()
+        pa, pb = pack_monomial(a), pack_monomial(b)
+        assert unpack_monomial(pa, nvars) == a and pa >> shift == sum(a)
+        assert (pa < pb) == (monomial_sort_key(a) < monomial_sort_key(b)), (a, b)
+        prod = tuple(x + y for x, y in zip(a, b))
+        assert pa + pb == pack_monomial(prod) and unpack_monomial(pa + pb, nvars) == prod
+        assert _divides(pa, pb, guards) == _divides_tuple(a, b), (a, b)
+        assert _divides(pb, pa, guards) == _divides_tuple(b, a), (a, b)
+        lcm = tuple(map(max, a, b))
+        assert _lcm(pa, pb, guards, shift) == pack_monomial(lcm), (a, b)
+        if _divides_tuple(b, a):
+            assert unpack_monomial(pa - pb, nvars) == tuple(x - y for x, y in zip(a, b))
+
+
+def test_exponent_overflow_is_named_and_fast():
+    x = Poly.variable("x2", VARS_X)
+    # a generator past the field width
+    too_high = Poly(VARS_X, {(MAX_DEGREE + 1, 0): Fraction(1)})
+    with pytest.raises(ExponentOverflow):
+        LocalIdeal([too_high, x]).quotient_dim()
+    # an s-pair past it: the lead x1*x2 carries a homogenizer of degree
+    # MAX_DEGREE - 2, and its lcm with x1^1000 has degree 1001
+    spoly = Poly(VARS_X, {(1, 1): Fraction(1), (0, MAX_DEGREE): Fraction(1)})
+    with pytest.raises(ExponentOverflow):
+        LocalIdeal([spoly, Poly(VARS_X, {(1000, 0): Fraction(1)})]).quotient_dim()
+    # a truncation degree past it: the staircase of <x1^2, x2^MAX_DEGREE>
+    # reaches degree MAX_DEGREE
+    pure = [Poly(VARS_X, {(2, 0): Fraction(1)}),
+            Poly(VARS_X, {(0, MAX_DEGREE): Fraction(1)})]
+    with pytest.raises(ExponentOverflow):
+        LocalIdeal(pure).quotient_dim()
+    # the largest degree still fits
+    assert LocalIdeal([Poly(VARS_X, {(MAX_DEGREE, 0): Fraction(1)}), x]).quotient_dim() \
+        == MAX_DEGREE
+
+
 def rational_hreduce(d_p, p_terms, basis):
-    """Top-down reduction dividing by lead coefficients, reducer chosen as in
-    _hreduce (shortest, then oldest); returned primitive with a positive lead."""
+    """Top-down reduction dividing by lead coefficients, on exponent tuples;
+    basis holds (terms, degree) pairs and the reducer is chosen as in
+    _hreduce (shortest, then oldest); returned primitive with a positive
+    lead."""
+    leads = [min(t, key=monomial_sort_key) for t, _ in basis]
     h = {m: Fraction(c) for m, c in p_terms.items()}
     out = {}
     while h:
         m = min(h, key=monomial_sort_key)
         c = h.pop(m)
-        fits = [r for r in basis
-                if r.a <= d_p - sum(m) and monomial_divides(r.lm, m)]
+        fits = [idx for idx, ((t, d), lm) in enumerate(zip(basis, leads))
+                if d - sum(lm) <= d_p - sum(m) and _divides_tuple(lm, m)]
         if not fits:
             out[m] = c
             continue
-        r = min(fits, key=lambda r: (r.size, r.idx))
-        w = tuple(a - b for a, b in zip(m, r.lm))
-        for mono, cc in r.tail:
+        idx = min(fits, key=lambda i: (len(basis[i][0]), i))
+        terms, lm = basis[idx][0], leads[idx]
+        w = tuple(a - b for a, b in zip(m, lm))
+        for mono, cc in terms.items():
+            if mono == lm:
+                continue
             mm = tuple(a + b for a, b in zip(mono, w))
-            h[mm] = h.get(mm, 0) - c / r.lc * cc
+            h[mm] = h.get(mm, 0) - c / terms[lm] * cc
             if h[mm] == 0:
                 del h[mm]
     if not out:
@@ -187,6 +259,10 @@ def rational_hreduce(d_p, p_terms, basis):
     for c in scaled.values():
         den = den * c.denominator // gcd(den, c.denominator)
     return {m: int(c * den) for m, c in scaled.items()}
+
+
+def _packed(terms):
+    return {pack_monomial(m): c for m, c in terms.items()}
 
 
 def test_fraction_free_reduction_matches_rational_reduction():
@@ -205,10 +281,13 @@ def test_fraction_free_reduction_matches_rational_reduction():
         basis = []
         for idx in range(rng.randint(1, 5)):
             t = terms(rng.randint(1, 4))
-            basis.append(_Elem(t, max(map(sum, t)) + rng.randint(0, 2), idx))
+            basis.append((t, max(map(sum, t)) + rng.randint(0, 2)))
         p_terms = terms(rng.randint(1, 6))
         d_p = max(map(sum, p_terms)) + rng.randint(0, 3)
-        got = _hreduce(d_p, p_terms, basis, None)
+        elems = [_Elem(_packed(t), d, idx, FIELD_BITS * nvars)
+                 for idx, (t, d) in enumerate(basis)]
+        got = _hreduce(d_p, _packed(p_terms), elems, None, nvars)
+        got = {unpack_monomial(m, nvars): c for m, c in got.items()}
         assert got == rational_hreduce(d_p, p_terms, basis), (basis, p_terms)
         nonzero += bool(got)
     assert nonzero > 100
