@@ -46,10 +46,6 @@ class NotAlgebraicallyIsolated(HypothesisError):
     """The germ's zero is not algebraically isolated (local algebra infinite)."""
 
 
-class DegenerateJacobianClass(HypothesisError):
-    """The Jacobian determinant reduces to zero in the local algebra."""
-
-
 class XiSearchExceededBound(HypothesisError):
     """The membership exponent search passed its cap without success."""
 

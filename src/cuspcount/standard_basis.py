@@ -48,6 +48,18 @@ Four facts are exploited for speed, all exact:
 The staircase of the last such recomputation is therefore the staircase of
 the finished basis, and the completion hands it over: quotient dimensions and
 the cobasis of a local algebra are read off it, never computed again.
+
+The local algebra Q of a zero-dimensional ideal is the quotient of the local
+ring by it.  Its maximal ideal is nilpotent: with N = 1 + (max staircase
+degree), every monomial of degree >= N lies in the localized ideal, so Q is
+the quotient of the polynomials of degree < N by the span of the truncated
+multiples of the standard basis.  LocalAlgebra reads exact, canonical
+coordinates on the staircase basis off that description by one top-down
+sweep over monomial relations; no normal-form units are involved.  Every
+monomial of degree N is zero in Q, so each staircase monomial of top degree
+is annihilated by the maximal ideal.  For a complete intersection the
+annihilator of the maximal ideal, the socle, is one-dimensional; the last
+staircase monomial is then the only one of top degree and spans it.
 """
 
 from __future__ import annotations
@@ -60,7 +72,12 @@ from math import gcd, inf
 from operator import le
 from typing import Sequence
 
-from .errors import DimensionInfinite, ExponentOverflow
+from .errors import (
+    DimensionInfinite,
+    ExponentOverflow,
+    InternalInconsistency,
+    NotAlgebraicallyIsolated,
+)
 from .polyring import Monomial, Poly
 
 #: returned by quotient_dim when the quotient is not finite-dimensional
@@ -120,6 +137,17 @@ def _lcm(a: int, b: int, guards: int, shift: int) -> int:
     x = (a & take_a) | (b & ~take_a & ((1 << shift) - 1))
     deg = sum((x >> s) & _FIELD for s in range(0, shift, FIELD_BITS))
     return (deg << shift) | x
+
+
+def _monomials(d: int, nvars: int) -> list[int]:
+    """The packed monomials of degree d in nvars variables, ascending."""
+    # (packed degree and exponents from the last variable down, degree left)
+    parts = [(d, d)]
+    for _ in range(nvars - 1):
+        parts = [
+            ((k << FIELD_BITS) + e, r - e) for k, r in parts for e in range(r + 1)
+        ]
+    return [(k << FIELD_BITS) + r for k, r in parts]
 
 
 def _check_degree(d: int) -> None:
@@ -196,6 +224,12 @@ class _Elem:
         return out
 
 
+def _reducer_key(r: _Elem) -> tuple[int, int]:
+    """The reducer rule: of the elements whose lead divides a term, the
+    shortest reduces it, then the oldest."""
+    return (r.size, r.idx)
+
+
 def _hspoly(f: _Elem, g: _Elem, lcm: int, lim: int) -> dict[int, int]:
     """x-part of the s-polynomial of f and g, whose leads have the packed
     lcm, without the terms at or above lim.  A tail shifted by a monomial
@@ -229,7 +263,7 @@ def _hreduce(
 
     A term x^m (implicit homogenizer exponent d_p - |m|) is reducible by r
     when r's lead x-part divides m and r's lead homogenizer exponent fits,
-    i.e. r.a <= d_p - |m|; among those, the shortest (then oldest) r is
+    i.e. r.a <= d_p - |m|; among those, the first in _reducer_key order is
     used.  The order is global, so plain top-down reduction terminates.
     The reduction is fraction-free: where a step would divide by r's lead
     coefficient, everything is multiplied by it instead, so coefficients
@@ -243,7 +277,7 @@ def _hreduce(
     # r.a <= d_p - |m| is m < top
     reducers = [
         ((d_p - r.a + 1) << shift, r.lm, r)
-        for r in sorted(basis, key=lambda r: (r.size, r.idx))
+        for r in sorted(basis, key=_reducer_key)
     ]
     h = {m: c for m, c in p_terms.items() if m < lim}
     heap = list(h)
@@ -325,9 +359,9 @@ def _staircase(
 class _Core:
     """Result of a completed standard-basis computation.
 
-    staircase holds packed monomials in ascending order (largest monomial
-    first); it is None when the quotient is infinite-dimensional and () for
-    the unit ideal.
+    reducers is the minimal basis in _reducer_key order.  staircase holds
+    packed monomials in ascending order (largest monomial first); it is None
+    when the quotient is infinite-dimensional and () for the unit ideal.
     """
 
     __slots__ = ("reducers", "trunc", "staircase")
@@ -458,21 +492,20 @@ def _complete(gens: list[dict[int, int]], nvars: int) -> _Core:
             for other in final
         ):
             kept.append(e)
-    if staircase is None:
-        return _Core(kept, trunc, None)
-    # the truncation-degree monomials are members of the localized ideal;
-    # materialize the ones no kept lead covers so the basis generates the
-    # full lead ideal on its own (they leave the staircase as it is)
-    leads = [e.lm for e in kept]
-    idx = len(elems)
-    for prefix in _iterproduct(*(range(trunc + 1) for _ in range(nvars - 1))):
-        if sum(prefix) > trunc:
-            continue
-        k = pack_monomial(prefix + (trunc - sum(prefix),))
-        if not any(_divides(lm, k, guards) for lm in leads):
-            kept.append(_Elem({k: 1}, trunc, idx, shift))
-            idx += 1
-    return _Core(kept, trunc, tuple(sorted(map(pack_monomial, staircase))))
+    packed = None
+    if staircase is not None:
+        # the truncation-degree monomials are members of the localized ideal;
+        # materialize the ones no kept lead covers so the basis generates the
+        # full lead ideal on its own (they leave the staircase as it is)
+        leads = [e.lm for e in kept]
+        idx = len(elems)
+        for k in _monomials(trunc, nvars):
+            if not any(_divides(lm, k, guards) for lm in leads):
+                kept.append(_Elem({k: 1}, trunc, idx, shift))
+                idx += 1
+        packed = tuple(sorted(map(pack_monomial, staircase)))
+    kept.sort(key=_reducer_key)
+    return _Core(kept, trunc, packed)
 
 
 # ---------------------------------------------------------------------------
@@ -505,11 +538,7 @@ class LocalIdeal:
             with self._lock:
                 if self._core is None:
                     gens = [_to_int_terms(g) for g in self.generators]
-                    gens = [g for g in gens if g]
-                    if not gens:
-                        self._core = _Core([], None, None)
-                    else:
-                        self._core = _complete(gens, len(self.vars))
+                    self._core = _complete([g for g in gens if g], len(self.vars))
         return self._core
 
     @property
@@ -567,3 +596,136 @@ class LocalIdeal:
             )
         n = len(self.vars)
         return tuple(unpack_monomial(m, n) for m in st)
+
+
+class LocalAlgebra:
+    """Finite-dimensional local algebra of an ideal, with exact coordinates
+    relative to its staircase basis.
+
+    The staircase basis and the truncation degree N are the ones the
+    completion of the ideal hands over.  cobasis lists the staircase as
+    exponent tuples; functional_table is keyed by packed monomials.
+    """
+
+    def __init__(self, ideal: LocalIdeal):
+        if ideal.quotient_dim() == INFINITE:
+            raise NotAlgebraicallyIsolated(
+                "the germ's zero is not algebraically isolated "
+                "(local algebra is infinite-dimensional)"
+            )
+        core = ideal._ensure_core()
+        self.vars = ideal.vars
+        self.cobasis: tuple[Monomial, ...] = ideal.cobasis()
+        self.dim: int = len(self.cobasis)
+        self._staircase: tuple[int, ...] = core.staircase
+        self._index = {m: i for i, m in enumerate(core.staircase)}
+        self._n: int = core.trunc
+        # packed monomials below _cap are those of degree < N
+        self._cap = self._n << (FIELD_BITS * len(self.vars))
+        self._rows = self._build_rows(core.reducers)
+
+    # -- construction --------------------------------------------------------
+
+    def _build_rows(self, reducers: list[_Elem]):
+        """For each non-staircase monomial m of degree < N, in ascending
+        order, a relation m = -(1/lc) * sum(tail) modulo the ideal, from the
+        first reducer whose lead divides m, shifted onto m."""
+        nvars, cap = len(self.vars), self._cap
+        guards = guard_bits(nvars)
+        rows: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}
+        for d in range(self._n):
+            for m in _monomials(d, nvars):
+                if m in self._index:
+                    continue
+                best = next((r for r in reducers if _divides(r.lm, m, guards)), None)
+                if best is None:
+                    raise InternalInconsistency(
+                        f"monomial {unpack_monomial(m, nvars)} is neither "
+                        "standard nor reducible"
+                    )
+                w = m - best.lm
+                room = cap - w
+                rows[m] = (best.lc, tuple(
+                    (mono + w, c) for mono, c in best.tail if mono < room
+                ))
+        return rows
+
+    # -- canonical reduction --------------------------------------------------
+
+    def functional_table(self, m_star: int) -> dict[int, Fraction]:
+        """Values of the dual functional of the packed staircase monomial
+        m_star on the classes of all monomials of degree < N, keyed by packed
+        monomial."""
+        if m_star not in self._index:
+            raise ValueError(f"{m_star!r} is not a packed staircase monomial")
+        index = self._index
+        table = {}
+        for m in reversed(self._rows):  # smallest first
+            lc, tail = self._rows[m]
+            acc = Fraction(0)
+            for mono, c in tail:
+                if mono in index:
+                    if mono == m_star:
+                        acc += c
+                else:
+                    v = table[mono]
+                    if v:
+                        acc += c * v
+            table[m] = -acc / lc
+        for m in self._staircase:
+            table[m] = Fraction(1 if m == m_star else 0)
+        return table
+
+    def coords(self, p: Poly) -> tuple[Fraction, ...]:
+        """Coordinates of the class of p in the staircase basis.
+
+        One top-down sweep: terms of degree >= N are dropped, and the
+        largest non-staircase monomial left is replaced by its relation in
+        _rows, whose terms are all smaller, until only staircase monomials
+        remain.
+        """
+        if p.vars != self.vars:
+            raise ValueError("ambient mismatch")
+        index, rows, n = self._index, self._rows, self._n
+        h = {pack_monomial(m): c for m, c in p.terms.items() if sum(m) < n}
+        heap = [m for m in h if m not in index]
+        heapq.heapify(heap)
+        while heap:
+            m = heapq.heappop(heap)
+            c = h.pop(m, None)
+            if c is None:
+                continue  # cancelled after it was pushed
+            lc, tail = rows[m]
+            q = c / lc
+            for mono, cc in tail:
+                old = h.get(mono)
+                new = (0 if old is None else old) - q * cc
+                if new:
+                    h[mono] = new
+                    if old is None and mono not in index:
+                        heapq.heappush(heap, mono)
+                elif old is not None:
+                    del h[mono]
+        vec = [Fraction(0)] * self.dim
+        for m, c in h.items():
+            vec[index[m]] = c
+        return tuple(vec)
+
+    def socle_pairing(self) -> list[list[Fraction]]:
+        """The pairing (a, b) -> phi(a*b) on the staircase basis as a square
+        list of rows, for phi the dual functional of the last staircase
+        monomial, which spans the socle of a complete intersection."""
+        staircase, cap, dim = self._staircase, self._cap, self.dim
+        table = self.functional_table(staircase[-1])
+        zero_row = [Fraction(0)] * dim
+        b = [zero_row[:] for _ in range(dim)]
+        for i, mi in enumerate(staircase):
+            for j in range(i, dim):
+                # the staircase ascends in degree: so do the products mi * mj
+                prod = mi + staircase[j]
+                if prod >= cap:
+                    break
+                v = table[prod]
+                if v:
+                    b[i][j] = b[j][i] = v
+        return b

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ from cuspcount.cli import main, render_json, report_to_dict
 from cuspcount.cusp_pipeline import run
 from cuspcount.errors import NegativeBranchCount, PipelineError
 from cuspcount.exprparse import parse_poly
+from cuspcount.standard_basis import LocalAlgebra
 
 from support import EX1
 
@@ -68,6 +70,19 @@ def test_internal_error_is_not_a_hypothesis_failure(capsys, monkeypatch):
     assert "internal error" in err
     assert "count_branches" in err
     assert "b0 = deg(H+) - deg(H-) = -2" in err
+
+
+def test_jacobian_class_off_the_socle_is_an_internal_error(capsys, monkeypatch):
+    # the Jacobian class of a finite algebra spans its socle, so a class with
+    # another nonzero coordinate is a bug, never a failed hypothesis
+    def off_socle(self, p):
+        return (Fraction(1),) * self.dim
+
+    monkeypatch.setattr(LocalAlgebra, "coords", off_socle)
+    code, out, err = run_cli(capsys, "analyze", "--f1", EX1[0], "--f2", EX1[1])
+    assert code == 3
+    assert out == ""
+    assert "internal error" in err and "degree f0" in err and "socle" in err
 
 
 def test_parse_error_exit_code(capsys):

@@ -13,13 +13,14 @@ from cuspcount.elk_degree import (
     local_degree,
     signature,
 )
-from cuspcount.errors import DegenerateJacobianClass, NotAlgebraicallyIsolated
+from cuspcount.errors import NotAlgebraicallyIsolated
 from cuspcount.exprparse import parse_poly
 from cuspcount.polyring import (
     Poly,
     VARS_TX,
     VARS_X,
     jacobian2,
+    jacobian_det,
     monomial_mul,
     partial,
     set_t_zero,
@@ -28,7 +29,7 @@ from cuspcount.polyring import (
 from cuspcount.standard_basis import pack_monomial
 
 from oracle import germ_is_oracle_friendly, preimage_degree, winding_degree
-from support import CRAFTED_FAMILIES, EX1, random_origin_poly
+from support import CRAFTED_FAMILIES, EX1, EX2, random_origin_poly
 
 
 def p2(text):
@@ -340,7 +341,7 @@ def test_certificate_invariants():
         comps = [random_origin_poly(rng, VARS_X, max_deg=3, n_terms=4) for _ in range(2)]
         try:
             cert = local_degree(comps)
-        except (NotAlgebraicallyIsolated, DegenerateJacobianClass):
+        except NotAlgebraicallyIsolated:
             continue
         found += 1
         pos, neg = cert.signature_split
@@ -356,8 +357,6 @@ def test_functional_choice_does_not_change_degree():
     comps = [p2("x1^3 + x2^2"), p2("x1*x2")]
     cert = local_degree(comps)
     algebra = build_algebra(comps)
-    from cuspcount.polyring import jacobian_det
-
     jclass = algebra.coords(jacobian_det(comps))
     admissible = [i for i, c in enumerate(jclass) if c != 0]
     assert len(admissible) >= 1
@@ -378,6 +377,38 @@ def test_functional_choice_does_not_change_degree():
         assert pos - neg == cert.degree
 
 
+def _assert_class_spans_the_socle(germ):
+    algebra = build_algebra(germ)
+    jclass = algebra.coords(jacobian_det(germ))
+    assert jclass[-1] != 0 and not any(jclass[:-1]), germ
+    degrees = [sum(m) for m in algebra.cobasis]
+    assert degrees.index(max(degrees)) == algebra.dim - 1, germ
+    return algebra.dim
+
+
+def test_jacobian_class_spans_the_last_staircase_monomial():
+    # the Jacobian class of a finite local algebra spans its one-dimensional
+    # socle (Eisenbud-Levine); on the staircase basis the socle is the last
+    # monomial, the only one of top degree, and local_degree takes phi there
+    rng = random.Random(48)
+    checked = 0
+    while checked < 200:
+        vars = (VARS_X, VARS_TX)[checked % 2]
+        comps = [random_origin_poly(rng, vars, max_deg=3, n_terms=4, coeff_range=2)
+                 for _ in vars]
+        try:
+            if build_algebra(comps).dim == 0:
+                continue
+        except NotAlgebraicallyIsolated:
+            continue
+        _assert_class_spans_the_socle(comps)
+        checked += 1
+    # EX2's H+ after t -> t^2, the largest algebra of the worked families
+    d = derive(p3(EX2[0]), p3(EX2[1]))
+    g1, g2, g3 = (substitute_t_squared(g) for g in (d.F1, d.F2, d.J))
+    assert _assert_class_spans_the_socle(build_H(g1, g2, g3, 6, +1)) == 238
+
+
 def test_orientation_swap_flips_degree():
     for comps in ([p2("x1^3 + x2^2"), p2("x1*x2")],
                   [p2("x1^2 - x2^2"), p2("2*x1*x2")]):
@@ -395,7 +426,7 @@ def _random_isolated_germ(rng, vars, max_dim):
                  for _ in range(len(vars))]
         try:
             cert = local_degree(comps)
-        except (NotAlgebraicallyIsolated, DegenerateJacobianClass):
+        except NotAlgebraicallyIsolated:
             continue
         if cert.algebra_dim > max_dim:
             continue

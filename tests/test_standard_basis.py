@@ -5,19 +5,21 @@ from math import gcd
 
 import pytest
 
-from cuspcount.elk_degree import LocalAlgebra, build_algebra
-from cuspcount.errors import DimensionInfinite, ExponentOverflow
+from cuspcount.elk_degree import build_algebra, local_degree
+from cuspcount.errors import DimensionInfinite, ExponentOverflow, NotAlgebraicallyIsolated
 from cuspcount.exprparse import parse_poly
 from cuspcount.polyring import Poly, VARS_TX, VARS_X, jacobian2, monomial_sort_key
 from cuspcount.standard_basis import (
     FIELD_BITS,
     INFINITE,
     MAX_DEGREE,
+    LocalAlgebra,
     LocalIdeal,
     _divides,
     _Elem,
     _hreduce,
     _lcm,
+    _reducer_key,
     _staircase,
     guard_bits,
     pack_monomial,
@@ -368,7 +370,8 @@ def test_membership_infinite_codimension():
 def test_completion_hands_over_its_final_staircase():
     # the cobasis is the staircase the completion kept from its last
     # truncation refresh; it must be the staircase of the finished lead
-    # ideal, and the algebra's truncation degree must be the completion's
+    # ideal, and the algebra's truncation degree must be the completion's;
+    # the basis is handed over in the one reducer order
     rng = random.Random(38)
     kinds = {"finite": 0, "infinite": 0, "unit": 0}
     for k in range(240):
@@ -381,6 +384,8 @@ def test_completion_hands_over_its_final_staircase():
             if k % 4 == 3:
                 gens[0] = gens[0] + Poly.constant(rng.choice((-2, -1, 1, 3)), vars)
         ideal = LocalIdeal(gens)
+        reducers = ideal._ensure_core().reducers
+        assert reducers == sorted(reducers, key=_reducer_key), gens
         trunc = ideal.truncation_degree
         if ideal.quotient_dim() == INFINITE:
             kinds["infinite"] += 1
@@ -431,6 +436,19 @@ def test_std_basis_deterministic_and_cached():
     b = LocalIdeal([t, f1, f2])
     assert a.std_basis == b.std_basis
     assert a._ensure_core() is a._ensure_core()
+
+
+def test_zero_ideal():
+    zero = Poly.zero(VARS_X)
+    ideal = LocalIdeal([zero, zero])
+    assert ideal.quotient_dim() == INFINITE
+    assert ideal.std_basis == () and ideal.truncation_degree is None
+    assert ideal.contains(zero)
+    assert not ideal.contains(p("x1", VARS_X))
+    with pytest.raises(DimensionInfinite):
+        ideal.cobasis()
+    with pytest.raises(NotAlgebraicallyIsolated):
+        local_degree([zero, p("x2", VARS_X)])
 
 
 def test_unit_ideal():
