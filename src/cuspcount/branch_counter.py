@@ -14,6 +14,14 @@ for any even k exceeding xi = min{ s : t^s * g3 in <g1, g2, g3^2> }.  The
 number of half-branches of V(g1, g2, g3) emanating from the origin is then
 deg(H+) - deg(H-), and running the same computation on the germs with t
 replaced by t^2 counts twice the branches lying in t > 0.
+
+The substituted system's xi is 2*xi, so it is not searched for.  Write g' for
+g with t replaced by t^2 and O' for the image of t -> t^2 in O.  For h(0) != 0
+the product h(t,x)*h(-t,x) is a unit of O', so O = O' (+) t*O' is free over O'
+with basis {1, t}, and I'O = I' (+) t*I' for any ideal I' of O'.  Take for I'
+the image of <g1, g2, g3^2>, so that I'O = <g1', g2', g3'^2>.  Now t^(2u)*g3'
+and t^(2u+1)*g3' are the image of t^u*g3 times 1 and times t, and each lies in
+I'O exactly when t^u*g3 lies in <g1, g2, g3^2>.
 """
 
 from __future__ import annotations
@@ -21,12 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .elk_degree import local_degree
-from .errors import (
-    InternalInconsistency,
-    NegativeBranchCount,
-    OddBPrime,
-    XiSearchExceededBound,
-)
+from .errors import NegativeBranchCount, OddBPrime, XiSearchExceededBound
 from .polyring import Poly, jacobian2, jacobian_det, substitute_t_squared
 from .standard_basis import LocalIdeal
 
@@ -112,17 +115,9 @@ def build_H(
     return first, g1, g2
 
 
-def _smallest_even_above(xi: int) -> int:
-    return xi + 2 if xi % 2 == 0 else xi + 1
-
-
-def count_branches(
-    g1: Poly, g2: Poly, g3: Poly, xi_cap: int = DEFAULT_XI_CAP
-) -> BranchCount:
-    """Half-branches of V(g1, g2, g3) emanating from the origin, counted with
-    the smallest even k above xi."""
-    xi = compute_xi(g1, g2, g3, cap=xi_cap)
-    k = _smallest_even_above(xi)
+def _count(g1: Poly, g2: Poly, g3: Poly, xi: int) -> BranchCount:
+    """deg(H+) - deg(H-) with the smallest even k above the given xi."""
+    k = xi + 2 - xi % 2
     deg_plus = local_degree(build_H(g1, g2, g3, k, +1)).degree
     deg_minus = local_degree(build_H(g1, g2, g3, k, -1)).degree
     b0 = deg_plus - deg_minus
@@ -133,27 +128,25 @@ def count_branches(
     return BranchCount(xi, k, deg_plus, deg_minus, b0)
 
 
-def count_branches_positive_t(
-    g1: Poly, g2: Poly, g3: Poly,
-    xi_cap: int = DEFAULT_XI_CAP,
-    xi_hint: int | None = None,
+def count_branches(
+    g1: Poly, g2: Poly, g3: Poly, xi_cap: int = DEFAULT_XI_CAP
 ) -> BranchCount:
-    """Branch count of the system with t replaced by t^2.
+    """Half-branches of V(g1, g2, g3) emanating from the origin."""
+    return _count(g1, g2, g3, compute_xi(g1, g2, g3, cap=xi_cap))
 
-    The resulting b0 is twice the number of half-branches of the original
-    curve in the half-space t > 0 and must be even; the half-branches in
-    t < 0 are those of the system with t replaced by -t.  xi_hint, when
-    given, is the xi of the unsubstituted system; the substituted xi never
-    exceeds twice that value, which is checked.
+
+def count_branches_positive_t(
+    g1: Poly, g2: Poly, g3: Poly, xi: int
+) -> BranchCount:
+    """Branch count of the system with t replaced by t^2, whose xi is 2*xi.
+
+    Precondition: xi is at least the xi of the unsubstituted system, for
+    example count_branches(g1, g2, g3).xi.  The resulting b0 is twice the
+    number of half-branches of the original curve in the half-space t > 0
+    and must be even; the half-branches in t < 0 are those of the system
+    with t replaced by -t.
     """
-    count = count_branches(
-        substitute_t_squared(g1), substitute_t_squared(g2),
-        substitute_t_squared(g3), xi_cap=xi_cap,
-    )
-    if xi_hint is not None and count.xi > 2 * xi_hint:
-        raise InternalInconsistency(
-            f"substituted xi = {count.xi} exceeds twice the original {xi_hint}"
-        )
+    count = _count(*map(substitute_t_squared, (g1, g2, g3)), 2 * xi)
     if count.b0 % 2 != 0:
         raise OddBPrime(
             f"substituted system returned odd b0 = {count.b0}, violating the "

@@ -165,7 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--json", action="store_true",
                          help="emit the report as JSON")
     analyze.add_argument("--xi-cap", type=int, default=DEFAULT_XI_CAP,
-                         help="bound for the membership exponent search")
+                         help="bound for the one search for xi, the membership "
+                              "exponent; the t -> t^2 system uses 2*xi")
     analyze.add_argument("-v", "--verbose", action="store_true",
                          help="echo progress to stderr")
     return parser

@@ -11,7 +11,8 @@ Given f = (f1, f2) in variables (t, x1, x2) with f(0) = 0, the pipeline
   5. counts half-branches of the cusp curve V(J, F1, F2) on the permutation
      (F1, F2, J), whose two conditions step 2 certifies as dim O/I'' and
      dim O/<t,F1,F2>: the total b0 and, through the t -> t^2 substitution,
-     the number with t > 0;
+     the number with t > 0.  xi is searched once: the substituted
+     system's xi is 2*xi;
   6. solves the two 2x2 integer systems for the four cusp counts
      (positive/negative local degree, for either sign of t);
   7. reports Euler-characteristic extras and runs the parity cross-check
@@ -266,7 +267,7 @@ def run(
     )
     branch_pos = stage(
         "count_branches_positive_t", count_branches_positive_t,
-        *combo.g, xi_cap=xi_cap, xi_hint=branch.xi,
+        *combo.g, branch.xi,
     )
 
     sigma = stage(

@@ -9,7 +9,8 @@ Accepted syntax (also shown in the CLI help):
 
 Multiplication must be written explicitly ("t*x1", never "t x1" or "tx1"),
 "/" is only allowed inside a rational literal such as 3/4, and exponents are
-non-negative integers up to EXPONENT_CAP.  Whitespace is ignored.
+non-negative integers up to EXPONENT_CAP.  Integers take the ASCII digits 0-9
+only (str.isdigit would also take superscripts).  Whitespace is ignored.
 
 EXPONENT_CAP also bounds the degree of the parsed polynomial in each
 variable, so nested powers and products cannot get past it: "(x1^8)^8" is
@@ -30,6 +31,7 @@ from .polyring import VARS_TX, Poly
 EXPONENT_CAP = 64
 
 _TOKEN_CHARS = set("+-*/^()")
+_DIGITS = set("0123456789")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -41,9 +43,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(("NUM", text[i:j], i))
             i = j

@@ -11,20 +11,48 @@ from cuspcount.branch_counter import (
 from cuspcount.elk_degree import local_degree
 from cuspcount.errors import XiSearchExceededBound
 from cuspcount.exprparse import parse_poly
-from cuspcount.polyring import Poly, VARS_TX, jacobian2, jacobian_det
+from cuspcount.polyring import (
+    Poly,
+    VARS_TX,
+    jacobian2,
+    jacobian_det,
+    substitute_t_squared,
+)
 from cuspcount.standard_basis import INFINITE, LocalIdeal
 
-from support import EX1, flip_t, random_combination
+from support import CRAFTED_FAMILIES, EX1, EX2, flip_t, random_combination
+
+# generated families with odd xi: perfbench.workloads.screen_families(1)[18]
+# (xi 3), screen_families(2)[78] (xi 1) and screen_families(2)[82] (xi 7)
+ODD_XI_FAMILIES = [
+    ("3*t^2 - 3*t*x2 - 2*x1*x2 + 3*x2^3", "x1^2 + 2*t^2*x2"),
+    ("-2*x1^2 - t*x2 - 2*x2^3", "-2*x1 + 3*x1*x2 - 3*x2^3"),
+    ("-2*x2^2 + 2*t*x1*x2", "4*x1^2 - 2*t^2*x2 + 2*t*x2^2"),
+]
 
 
 def p(text):
     return parse_poly(text, VARS_TX)
 
 
-def ex1_triple():
-    f1, f2 = p(EX1[0]), p(EX1[1])
+def cusp_triple(family):
+    """(J, F1, F2) of the family f = (f1, f2)."""
+    f1, f2 = p(family[0]), p(family[1])
     J = jacobian2(f1, f2, 1, 2)
     return J, jacobian2(f1, J, 1, 2), jacobian2(f2, J, 1, 2)
+
+
+def ex1_triple():
+    return cusp_triple(EX1)
+
+
+def counted_triple(family):
+    """The triple (F1, F2, J) that the branch count runs on, or the t-axis
+    (x1, x2, x1) for family None."""
+    if family is None:
+        return p("x1"), p("x2"), p("x1")
+    J, F1, F2 = cusp_triple(family)
+    return F1, F2, J
 
 
 def test_build_H_direct_expansion():
@@ -71,8 +99,34 @@ def test_branches_of_a_smooth_line():
     assert count.k == 2
     assert (count.deg_H_plus, count.deg_H_minus) == (1, -1)
     assert count.b0 == 2
-    positive = count_branches_positive_t(p("x1"), p("x2"), p("x1"))
+    positive = count_branches_positive_t(p("x1"), p("x2"), p("x1"), count.xi)
     assert positive.b0 == 2  # one branch in t > 0
+
+
+@pytest.mark.parametrize(
+    "family", [EX1, EX2, *CRAFTED_FAMILIES, None, *ODD_XI_FAMILIES]
+)
+def test_substituted_xi_is_twice_xi(family):
+    # the substituted search is the reference for the identity xi' = 2*xi
+    # that count_branches_positive_t relies on: t^s * g3' lies in
+    # <g1', g2', g3'^2> exactly when s // 2 >= xi
+    g = counted_triple(family)
+    xi = compute_xi(*g)
+    sub = tuple(map(substitute_t_squared, g))
+    assert compute_xi(*sub) == 2 * xi
+    ideal = LocalIdeal([sub[0], sub[1], sub[2] * sub[2]])
+    t = Poly.variable("t", VARS_TX)
+    assert [ideal.contains(t**s * sub[2]) for s in range(2 * xi + 2)] == [
+        s // 2 >= xi for s in range(2 * xi + 2)
+    ]
+    assert compute_xi(*map(flip_t, g)) == xi
+
+
+@pytest.mark.parametrize("family", [EX1, *CRAFTED_FAMILIES, None])
+def test_positive_t_count_uses_the_substituted_xi(family):
+    g = counted_triple(family)
+    reference = compute_xi(*map(substitute_t_squared, g))
+    assert count_branches_positive_t(*g, compute_xi(*g)).xi == reference
 
 
 def test_branches_empty_when_g3_cuts_transversally():
@@ -88,14 +142,17 @@ def test_branches_worked_family():
     assert (count.xi, count.k) == (2, 4)
     assert (count.deg_H_plus, count.deg_H_minus) == (2, -2)
     assert count.b0 == 4
-    positive = count_branches_positive_t(F1, F2, J, xi_hint=count.xi)
+    positive = count_branches_positive_t(F1, F2, J, count.xi)
     assert (positive.deg_H_plus, positive.deg_H_minus) == (1, -1)
     assert positive.b0 == 2
 
 
 def test_branches_negative_side_via_substitution():
     J, F1, F2 = ex1_triple()
-    negative = count_branches_positive_t(flip_t(F1), flip_t(F2), flip_t(J))
+    # t -> -t leaves xi unchanged
+    negative = count_branches_positive_t(
+        flip_t(F1), flip_t(F2), flip_t(J), compute_xi(F1, F2, J)
+    )
     assert negative.b0 == 6  # three half-branch pairs at t < 0
 
 
@@ -137,6 +194,6 @@ def test_matrix_choice_stability_of_b0():
     combo = random_combination(J, F1, F2, seed=11)
     other = count_branches(*combo.g)
     assert other.b0 == base.b0
-    other_pos = count_branches_positive_t(*combo.g)
+    other_pos = count_branches_positive_t(*combo.g, other.xi)
     assert other_pos.b0 == 2
 

@@ -91,6 +91,13 @@ def test_parse_error_exit_code(capsys):
     assert "position" in err
 
 
+@pytest.mark.parametrize("f1", ["x1^\u00b2", "x1^\u0663"])
+def test_non_ascii_digit_is_a_parse_error(capsys, f1):
+    code, out, err = run_cli(capsys, "analyze", "--f1", f1, "--f2", "x2")
+    assert code == 1 and out == ""
+    assert "unexpected character" in err and "(at position 3)" in err
+
+
 def test_nested_power_past_the_cap_is_a_parse_error(capsys):
     code, _, err = run_cli(
         capsys, "analyze", "--f1", "((x1^64)^64)^64 + x2^2 + t*x1", "--f2", "x1*x2"
@@ -110,6 +117,24 @@ def test_usage_error_exit_code(capsys):
     )
     assert code == 1 and out == ""
     assert "--xi-cap" in err and "analysis failed" not in err
+
+
+@pytest.mark.parametrize("cap", ["2", "3"])
+def test_xi_cap_bounds_the_one_xi_search(capsys, cap):
+    # EX1 has xi = 2; the t -> t^2 system's xi 4 is derived, not searched
+    code, out, _ = run_cli(
+        capsys, "analyze", "--f1", EX1[0], "--f2", EX1[1], "--xi-cap", cap
+    )
+    assert code == 0
+    assert out == (GOLDEN / "ex1.txt").read_bytes().decode("utf-8")
+
+
+def test_xi_cap_below_xi_fails_in_count_branches(capsys):
+    code, out, err = run_cli(
+        capsys, "analyze", "--f1", EX1[0], "--f2", EX1[1], "--xi-cap", "1"
+    )
+    assert code == 2 and out == ""
+    assert "[count_branches]" in err
 
 
 def test_input_file(tmp_path, capsys):

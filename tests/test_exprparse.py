@@ -99,6 +99,15 @@ def test_exponent_cap_bounds_nested_powers_and_products():
         assert e.value.position == at, text
 
 
+@pytest.mark.parametrize("text", ["x1^\u00b2", "x1^\u0663"])
+def test_only_ascii_digits(text):
+    # superscript two and Arabic-Indic three pass str.isdigit but are not
+    # integers of the grammar
+    with pytest.raises(ParseError, match="unexpected character") as e:
+        parse_poly(text)
+    assert e.value.position == 3
+
+
 def test_adjacency_rejected():
     with pytest.raises(ParseError) as e:
         parse_poly("2 x1")

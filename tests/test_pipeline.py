@@ -170,7 +170,10 @@ def test_negative_side_branch_cross_check(family):
 
     d = _derive(p(family[0]), p(family[1]))
     r = run(p(family[0]), p(family[1]))
-    neg = count_branches_positive_t(flip_t(d.F1), flip_t(d.F2), flip_t(d.J))
+    # t -> -t leaves xi unchanged
+    neg = count_branches_positive_t(
+        flip_t(d.F1), flip_t(d.F2), flip_t(d.J), r.branch.xi
+    )
     assert neg.b0 % 2 == 0
     assert neg.b0 // 2 == r.b0 - r.b0_prime // 2
 
