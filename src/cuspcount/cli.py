@@ -25,11 +25,12 @@ GRAMMAR_HELP = f"""\
 expression grammar (whitespace-insensitive):
   expr   :=  term (("+" | "-") term)*
   term   :=  unary ("*" unary)*
-  unary  :=  "-" unary | atom ["^" exponent]
-  atom   :=  integer ["/" integer] | t | x1 | x2 | "(" expr ")"
+  unary  :=  "-" unary | integer "/" integer | atom ["^" exponent]
+  atom   :=  integer | t | x1 | x2 | "(" expr ")"
 multiplication is always explicit ("t*x1", never "t x1"); "/" only occurs
-inside rational literals such as 3/4; exponents are integers in
-[0, {EXPONENT_CAP}], and so is the degree of every expression in each variable.
+inside rational literals such as 3/4, which take no exponent ("(2/3)^2", not
+"2/3^2"); exponents are integers in [0, {EXPONENT_CAP}], and so is the degree
+of every expression in each variable.
 """
 
 JSON_SCHEMA_VERSION = 1

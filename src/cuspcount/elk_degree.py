@@ -46,11 +46,21 @@ def signature(matrix: Sequence[Sequence]) -> tuple[int, int, int]:
     given as a square list of rows.
 
     Symmetric congruence elimination on the nonzero entries only, kept as
-    {row: {col: value}}.  Each step pivots on the nonzero diagonal entry
-    whose row has the fewest entries, lowest index first (Markowitz's rule),
-    which keeps fill-in small on the sparse residue pairing.  When every
-    diagonal entry is zero, row and column j are first added into i for a
-    nonzero a[i][j], which leaves a[i][i] = 2*a[i][j] != 0.
+    {row: {col: value}}, with one pivot rule.  Each step takes the row k
+    with the fewest entries, lowest index on ties.  If a[k][k] = p is
+    nonzero, it pivots on p: one square of the sign of p.  Otherwise it
+    pivots on the 2x2 block [[0, c], [c, a]] of k and its neighbour u with
+    the fewest entries (c = a[k][u], a = a[u][u]), whose determinant -c^2
+    gives one positive and one negative square; the Schur complement is
+    A - (x y^T + y x^T)/c + (a/c^2) y y^T for x, y the rows of u and k.
+
+    The rule suits residue pairings (a, b) -> phi(a*b) on a staircase basis.
+    phi(m_i*m_j) = 0 whenever deg m_i + deg m_j >= N, so the monomials of
+    degree >= N/2 span a totally isotropic block: short rows with zero
+    diagonals, which the rule takes first.  A 2x2 step on such a row k
+    changes a[i][j] only where a[k][i] or a[k][j] is nonzero, so it leaves
+    the block zero, where 1x1 pivots elsewhere would fill it and grow its
+    entries.
     """
     n = len(matrix)
     rows: dict[int, dict[int, Fraction]] = {}
@@ -67,29 +77,48 @@ def signature(matrix: Sequence[Sequence]) -> tuple[int, int, int]:
 
     pos = neg = 0
     while rows:
-        k = min(
-            (i for i, row in rows.items() if i in row),
-            key=lambda i: (len(rows[i]), i),
-            default=None,
-        )
-        if k is None:
-            # every diagonal entry is zero: add row and column j into i,
-            # which makes a[i][i] = 2*a[i][j]
-            i = min(rows, key=lambda r: (len(rows[r]), r))
-            j = min(rows[i], key=lambda c: (len(rows[c]), c))
-            ri = rows[i]
-            for c, v in rows[j].items():
-                if c == i:
-                    continue
-                s = ri.get(c, 0) + v
-                if s:
-                    ri[c] = rows[c][i] = s
-                else:
-                    del ri[c], rows[c][i]
-            ri[i] = 2 * ri[j]
-            continue
+        k = min(rows, key=lambda i: (len(rows[i]), i))
         rk = rows.pop(k)
-        p = rk.pop(k)
+        p = rk.pop(k, None)
+        if p is None:
+            u = min(rk, key=lambda j: (len(rows[j]), j))
+            ru = rows.pop(u)
+            c = rk.pop(u)
+            del ru[k]
+            a = ru.pop(u, 0)
+            pos += 1
+            neg += 1
+            for i in rk:
+                del rows[i][k]
+            for i in ru:
+                del rows[i][u]
+            # a[i][j] -= y[i]*z[j] + z[i]*y[j], the Schur complement with
+            # z = x/c - a/(2c^2) y; y[j] = 0 off k's neighbours, and entries
+            # with y[i] = y[j] = 0 stay as they are
+            z = {j: v / c for j, v in ru.items()}
+            if a:
+                h = a / (2 * c * c)
+                for j, v in rk.items():
+                    z[j] = z.get(j, 0) - h * v
+            ys = list(rk.items())
+            cols = ys + [(j, 0) for j in z if j not in rk]
+            for at, (i, yi) in enumerate(ys):
+                ri, zi = rows[i], z.get(i, 0)
+                for j, yj in cols[at:]:
+                    d = yi * z.get(j, 0) + zi * yj
+                    if not d:
+                        continue
+                    s = ri.get(j, 0) - d
+                    if s:
+                        ri[j] = rows[j][i] = s
+                    else:
+                        del ri[j]
+                        if j != i:
+                            del rows[j][i]
+            for i in rk.keys() | ru.keys():
+                if not rows[i]:
+                    del rows[i]
+            continue
         if p > 0:
             pos += 1
         else:

@@ -4,13 +4,16 @@ Accepted syntax (also shown in the CLI help):
 
     expr   :=  term (("+" | "-") term)*
     term   :=  unary ("*" unary)*
-    unary  :=  "-" unary | atom ["^" exponent]
-    atom   :=  integer ["/" integer]  |  variable  |  "(" expr ")"
+    unary  :=  "-" unary | integer "/" integer | atom ["^" exponent]
+    atom   :=  integer  |  variable  |  "(" expr ")"
 
 Multiplication must be written explicitly ("t*x1", never "t x1" or "tx1"),
 "/" is only allowed inside a rational literal such as 3/4, and exponents are
-non-negative integers up to EXPONENT_CAP.  Integers take the ASCII digits 0-9
-only (str.isdigit would also take superscripts).  Whitespace is ignored.
+non-negative integers up to EXPONENT_CAP.  A rational literal takes no
+exponent: "2/3^2" is an error at the "^" (usual precedence reads it as 2/9,
+a grammar with "^" on the literal as 4/9), and "(2/3)^2" is the square.
+Integers take the ASCII digits 0-9 only (str.isdigit would also take
+superscripts).  Whitespace is ignored.
 
 EXPONENT_CAP also bounds the degree of the parsed polynomial in each
 variable, so nested powers and products cannot get past it: "(x1^8)^8" is
@@ -175,6 +178,12 @@ class _Parser:
                 den = int(value3)
                 if den == 0:
                     raise ParseError("denominator must be nonzero", at3)
+                kind4, value4, at4 = self.peek()
+                if kind4 == "OP" and value4 == "^":
+                    raise ParseError(
+                        "a power of a rational literal needs parentheses, "
+                        f"as in ({num}/{den})^...", at4
+                    )
                 return Poly.constant(Fraction(num, den), self.vars)
             return Poly.constant(num, self.vars)
         if kind == "NAME":

@@ -106,6 +106,12 @@ def test_nested_power_past_the_cap_is_a_parse_error(capsys):
     assert "cap of 64" in err and "position 8" in err
 
 
+def test_power_of_a_rational_literal_is_a_parse_error(capsys):
+    code, out, err = run_cli(capsys, "analyze", "--f1", "2/3^2*x1 + x2^2", "--f2", "x1*x2")
+    assert code == 1 and out == ""
+    assert "needs parentheses" in err and "(at position 3)" in err
+
+
 def test_usage_error_exit_code(capsys):
     code, _, _ = run_cli(capsys, "analyze")
     assert code == 1

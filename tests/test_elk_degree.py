@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -5,8 +6,9 @@ from itertools import product
 import numpy as np
 import pytest
 
+from cuspcount import elk_degree
 from cuspcount.branch_counter import build_H
-from cuspcount.cusp_pipeline import derive
+from cuspcount.cusp_pipeline import derive, run
 from cuspcount.elk_degree import (
     DegreeCertificate,
     build_algebra,
@@ -289,6 +291,93 @@ def test_signature_diagonal_equals_sign_count():
         assert signature(m) == want
 
 
+def _inertia_by_descartes(matrix):
+    """Inertia of a real symmetric matrix from its characteristic polynomial,
+    independently of signature: the roots are all real, so Descartes' rule
+    of signs counts the positive ones exactly, and those of p(-x) the
+    negative ones."""
+    n = len(matrix)
+    # a positive multiple has the same inertia and an integer char. poly
+    scale = math.lcm(*(Fraction(x).denominator for row in matrix for x in row))
+    a = [[int(Fraction(x) * scale) for x in row] for row in matrix]
+    # Faddeev-LeVerrier: M_k = A*M_(k-1) + c_(n-k+1)*I, c_(n-k) = -tr(A*M_k)/k
+    coeffs = [1]  # c_n, c_(n-1), ..., c_0 of det(x*I - A)
+    m = [[0] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        m = [[sum(a[i][l] * m[l][j] for l in range(n) if m[l][j])
+              + (coeffs[-1] if i == j else 0) for j in range(n)] for i in range(n)]
+        trace = sum(a[i][l] * m[l][i] for i in range(n) for l in range(n))
+        c, r = divmod(-trace, k)
+        assert r == 0
+        coeffs.append(c)
+    low = coeffs[::-1]  # low[d] is the coefficient of x^d
+
+    def sign_changes(cs):
+        signs = [c > 0 for c in cs if c]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    zeros = next(d for d, c in enumerate(low) if c)
+    return (sign_changes(low),
+            sign_changes([-c if d % 2 else c for d, c in enumerate(low)]),
+            zeros)
+
+
+def test_inertia_by_descartes_examples():
+    assert _inertia_by_descartes([[2, 0, 0], [0, -3, 0], [0, 0, 0]]) == (1, 1, 1)
+    assert _inertia_by_descartes([[0, 1], [1, 0]]) == (1, 1, 0)
+    assert _inertia_by_descartes([[1, 2], [2, 4]]) == (1, 0, 1)
+
+
+def _random_sparse_symmetric(rng, n):
+    """Mostly zero diagonal; every fourth matrix gets a planted kernel: a
+    row that repeats another, or a zero row."""
+    den = rng.randint(1, 6)
+    m = _zeros(n)
+    for i in range(n):
+        if rng.random() < 0.15:
+            m[i][i] = Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), den)
+        for j in range(i + 1, n):
+            if rng.random() < 0.4:
+                m[i][j] = m[j][i] = Fraction(rng.randint(-4, 4), den)
+    if n >= 2 and rng.random() < 0.25:
+        q, r = rng.sample(range(n), 2)
+        for j in range(n):
+            m[r][j] = m[j][r] = Fraction(0)
+        if rng.random() < 0.6:
+            for j in range(n):
+                m[r][j] = m[j][r] = m[q][j]
+            m[r][r] = m[q][r] = m[r][q] = m[q][q]
+    return m
+
+
+def test_signature_matches_descartes_on_random_sparse_matrices():
+    rng = random.Random(50)
+    singular = 0
+    for _ in range(200):
+        m = _random_sparse_symmetric(rng, rng.randint(1, 12))
+        want = _inertia_by_descartes(m)
+        assert signature(m) == want, m
+        singular += want[2] > 0
+    assert 40 <= singular <= 160
+
+
+def test_signature_matches_descartes_on_ex1_pairings(monkeypatch):
+    algebras = []
+
+    def recording(germ):
+        algebra = build_algebra(germ)
+        algebras.append(algebra)
+        return algebra
+
+    monkeypatch.setattr(elk_degree, "build_algebra", recording)
+    run(p3(EX1[0]), p3(EX1[1]))
+    checked = [a for a in algebras if 0 < a.dim <= 30]
+    assert sorted(a.dim for a in checked) == [1, 2, 3, 5, 30, 30]
+    for algebra in checked:
+        b = algebra.socle_pairing()
+        assert signature(b) == _inertia_by_descartes(b), algebra.dim
+
+
 # -- local degree: exact cases ----------------------------------------------
 
 
@@ -407,6 +496,42 @@ def test_jacobian_class_spans_the_last_staircase_monomial():
     d = derive(p3(EX2[0]), p3(EX2[1]))
     g1, g2, g3 = (substitute_t_squared(g) for g in (d.F1, d.F2, d.J))
     assert _assert_class_spans_the_socle(build_H(g1, g2, g3, 6, +1)) == 238
+
+
+def _assert_pairing_vanishes_at_degree_n(algebra):
+    n = algebra._n
+    degrees = [sum(m) for m in algebra.cobasis]
+    b = algebra.socle_pairing()
+    for i, di in enumerate(degrees):
+        for j, dj in enumerate(degrees):
+            if di + dj >= n:
+                assert b[i][j] == 0, (algebra.cobasis[i], algebra.cobasis[j])
+
+
+def test_pairing_vanishes_at_degree_n():
+    # phi(m_i*m_j) = 0 once deg m_i + deg m_j >= N, so the staircase
+    # monomials of degree >= N/2 span a totally isotropic block.  signature's
+    # 2x2 pivots keep that block zero, which is what makes them fast; they
+    # are correct on any symmetric matrix
+    rng = random.Random(51)
+    checked = 0
+    while checked < 100:
+        vars = (VARS_X, VARS_TX)[checked % 2]
+        comps = [random_origin_poly(rng, vars, max_deg=3, n_terms=4, coeff_range=2)
+                 for _ in vars]
+        try:
+            algebra = build_algebra(comps)
+        except NotAlgebraicallyIsolated:
+            continue
+        if algebra.dim == 0:
+            continue
+        _assert_pairing_vanishes_at_degree_n(algebra)
+        checked += 1
+    d = derive(p3(EX2[0]), p3(EX2[1]))
+    g1, g2, g3 = (substitute_t_squared(g) for g in (d.F1, d.F2, d.J))
+    algebra = build_algebra(build_H(g1, g2, g3, 6, +1))
+    assert algebra.dim == 238
+    _assert_pairing_vanishes_at_degree_n(algebra)
 
 
 def test_orientation_swap_flips_degree():

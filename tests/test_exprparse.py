@@ -34,6 +34,17 @@ def test_rational_literals():
     assert parse_poly("1 / 2") == parse_poly("1/2")
 
 
+def test_rational_literal_takes_no_exponent():
+    # "2/3^2" would read 4/9 with "^" on the literal and 2/9 by usual
+    # precedence, so it is an error at the "^"
+    for text, at in (("2/3^2", 3), ("-2/3^2 + x1", 4), ("x1 + 1 / 2 ^ 3", 11)):
+        with pytest.raises(ParseError, match="needs parentheses") as e:
+            parse_poly(text)
+        assert e.value.position == at, text
+    assert parse_poly("(2/3)^2") == parse_poly("4/9")
+    assert parse_poly("2/3*x1^2") == parse_poly("x1^2") * parse_poly("2/3")
+
+
 def test_whitespace_insensitive():
     assert parse_poly("t *x1+ x2 ^ 2") == parse_poly("t*x1+x2^2")
 
