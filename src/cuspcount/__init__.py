@@ -3,7 +3,6 @@ plane-to-plane polynomial maps, split by local degree and parameter sign."""
 
 from .branch_counter import (
     BranchCount,
-    GenericCombination,
     build_H,
     choose_combination,
     compute_xi,
@@ -50,7 +49,6 @@ __all__ = [
     "CuspCountError",
     "DegreeCertificate",
     "DerivedGerms",
-    "GenericCombination",
     "HypothesisError",
     "HypothesisReport",
     "INFINITE",

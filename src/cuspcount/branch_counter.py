@@ -35,14 +35,8 @@ from .standard_basis import LocalIdeal
 
 DEFAULT_XI_CAP = 64
 
-
-@dataclass(frozen=True)
-class GenericCombination:
-    """A combination g_s = sum_j matrix[s][j] * w_j."""
-
-    matrix: tuple[tuple[int, ...], ...]
-    g: tuple[Poly, Poly, Poly]
-    identity_choice: bool
+#: the matrix of choose_combination's permutation: g_s = sum_j M[s][j] * w_j
+COMBINATION_MATRIX = ((0, 1, 0), (0, 0, 1), (1, 0, 0))
 
 
 @dataclass(frozen=True)
@@ -52,10 +46,6 @@ class BranchCount:
     deg_H_plus: int
     deg_H_minus: int
     b0: int
-
-
-def _t_poly(vars) -> Poly:
-    return Poly.variable("t", vars)
 
 
 def curve_criterion_ideal(g1: Poly, g2: Poly) -> LocalIdeal:
@@ -70,22 +60,21 @@ def curve_criterion_ideal(g1: Poly, g2: Poly) -> LocalIdeal:
     ])
 
 
-def choose_combination(w1: Poly, w2: Poly, w3: Poly) -> GenericCombination:
-    """The permutation (g1, g2, g3) = (w2, w3, w1).
+def choose_combination(w1: Poly, w2: Poly, w3: Poly) -> tuple[Poly, Poly, Poly]:
+    """The permutation (g1, g2, g3) = (w2, w3, w1), of matrix
+    COMBINATION_MATRIX.
 
     Precondition: the curve criterion ideal of (w2, w3) and <t, w2, w3> have
     finite codimension.  For the cusp curve triple (J, F1, F2) these are
     dim O/I'' and dim O/<t, F1, F2>, which verify_hypotheses certifies.
     """
-    return GenericCombination(
-        ((0, 1, 0), (0, 0, 1), (1, 0, 0)), (w2, w3, w1), identity_choice=True
-    )
+    return w2, w3, w1
 
 
 def compute_xi(g1: Poly, g2: Poly, g3: Poly, cap: int = DEFAULT_XI_CAP) -> int:
     """Smallest s with t^s * g3 in <g1, g2, g3^2>, by ascending search."""
     j2 = LocalIdeal([g1, g2, g3 * g3])
-    t = _t_poly(g1.vars)
+    t = Poly.variable("t", g1.vars)
     power = Poly.constant(1, g1.vars)
     for s in range(cap + 1):
         if j2.contains(power * g3):
@@ -110,7 +99,7 @@ def build_H(
         raise ValueError("k must be a positive even integer")
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
-    t = _t_poly(g1.vars)
+    t = Poly.variable("t", g1.vars)
     first = jacobian_det([g3 + t**k * sign, g1, g2])
     return first, g1, g2
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict
 
@@ -111,6 +112,17 @@ def render_text(report: BifurcationReport) -> str:
     return "\n".join(lines)
 
 
+def _parse_seed(text: str) -> int:
+    """An int written with an optional sign and the ASCII digits 0-9; int()
+    alone also takes underscores and the digits of other scripts."""
+    value = int(text)
+    if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", text):
+        raise ValueError(
+            f"seed {text!r} must be an optional sign and the ASCII digits 0-9"
+        )
+    return value
+
+
 def _read_input_file(path: str) -> dict:
     """The values of a key = value file: f1 and f2 parsed, seed as an int.
     Every error names the line it was found on."""
@@ -132,7 +144,7 @@ def _read_input_file(path: str) -> dict:
                     )
                 if key in values:
                     raise ValueError(f"duplicate key {key!r}")
-                values[key] = int(value) if key == "seed" else parse_poly(value)
+                values[key] = _parse_seed(value) if key == "seed" else parse_poly(value)
             except (ParseError, ValueError) as e:
                 raise ValueError(f"line {lineno}: {e}") from None
     return values
@@ -160,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--input", help="read f1, f2 and optionally seed from a key=value file"
     )
-    analyze.add_argument("--seed", type=int, default=0,
+    analyze.add_argument("--seed", default="0",
                          help="seed echoed in the report; the analysis "
                               "is deterministic and does not use it")
     analyze.add_argument("--json", action="store_true",
@@ -190,7 +202,7 @@ def main(argv: list[str] | None = None) -> int:
             return 1
         f1 = values["f1"] if "f1" in values else parse_poly(args.f1)
         f2 = values["f2"] if "f2" in values else parse_poly(args.f2)
-        seed = values.get("seed", args.seed)
+        seed = values["seed"] if "seed" in values else _parse_seed(args.seed)
     except (ParseError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

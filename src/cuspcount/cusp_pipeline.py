@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .branch_counter import (
+    COMBINATION_MATRIX,
     BranchCount,
     choose_combination,
     count_branches,
@@ -258,16 +259,16 @@ def run(
     cusp_pos = cusp_degree(deg_f0, deg_d1, deg_d2, +1)
     cusp_neg = cusp_degree(deg_f0, deg_d1, deg_d2, -1)
 
-    combo = stage(
+    g = stage(
         "choose_combination", choose_combination,
         derived.J, derived.F1, derived.F2,
     )
     branch = stage(
-        "count_branches", count_branches, *combo.g, xi_cap=xi_cap,
+        "count_branches", count_branches, *g, xi_cap=xi_cap,
     )
     branch_pos = stage(
         "count_branches_positive_t", count_branches_positive_t,
-        *combo.g, branch.xi,
+        *g, branch.xi,
     )
 
     sigma = stage(
@@ -288,10 +289,8 @@ def run(
         deg_d2=deg_d2,
         cusp_deg_pos_t=cusp_pos,
         cusp_deg_neg_t=cusp_neg,
-        combination_matrix=tuple(
-            tuple(str(x) for x in row) for row in combo.matrix
-        ),
-        identity_combination=combo.identity_choice,
+        combination_matrix=tuple(tuple(map(str, row)) for row in COMBINATION_MATRIX),
+        identity_combination=True,
         branch=branch,
         branch_positive_t=branch_pos,
         b0=branch.b0,

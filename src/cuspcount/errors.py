@@ -18,8 +18,10 @@ class DimensionInfinite(CuspCountError):
 
 
 class ExponentOverflow(CuspCountError):
-    """A standard-basis computation reaches a degree its packed monomials
-    cannot hold."""
+    """A product, power or substitution of polynomials, or a standard-basis
+    completion, reaches a degree above polyring.MAX_DEGREE (32767), the
+    largest a packed monomial holds; raised before any exponent field could
+    carry into the next (CLI exit 3)."""
 
 
 class HypothesisError(CuspCountError):

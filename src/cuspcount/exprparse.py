@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import ParseError
-from .polyring import VARS_TX, Poly
+from .polyring import VARS_TX, Poly, unpack_monomial
 
 EXPONENT_CAP = 64
 
@@ -69,7 +69,8 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 def _degrees(p: Poly) -> list[int]:
     """Degree of p in each variable (all 0 for the zero polynomial)."""
-    return [max(e) for e in zip(*p.terms)] if p.terms else [0] * len(p.vars)
+    n = len(p.vars)
+    return [max(e) for e in zip(*(unpack_monomial(m, n) for m in p.terms))] or [0] * n
 
 
 class _Parser:

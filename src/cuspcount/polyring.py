@@ -1,22 +1,24 @@
 """Exact multivariate polynomial arithmetic over the rationals.
 
-Polynomials are sparse maps from exponent tuples to ``fractions.Fraction``
-coefficients.  Every operation is exact; nothing is ever rounded.  The two
-ambients that matter downstream are ``("t", "x1", "x2")`` for the family and
-``("x1", "x2")`` for its restriction to t = 0, but the arithmetic is generic
-in the variable tuple.
+A polynomial is a sparse map from packed monomials (pack_monomial) to int
+numerators over one positive int denominator.  Every operation is exact;
+nothing is ever rounded.  The two ambients that matter downstream are
+``("t", "x1", "x2")`` for the family and ``("x1", "x2")`` for its
+restriction to t = 0, but the arithmetic is generic in the variable tuple.
 
 The term order used for serialization (and everywhere else in the package)
 is the anti-degree reverse-lexicographic local order: lower total degree
 means a *larger* monomial, ties broken reverse-lexicographically, so the
-constant term always prints first.
+constant term always prints first.  Ascending packed int is that order.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from math import gcd, lcm
 from typing import Mapping, Sequence
+
+from .errors import ExponentOverflow
 
 Monomial = tuple[int, ...]
 
@@ -24,47 +26,104 @@ Monomial = tuple[int, ...]
 VARS_TX = ("t", "x1", "x2")
 VARS_X = ("x1", "x2")
 
+#: width of one exponent field of a packed monomial; the top bit of each
+#: field is a guard bit that stays clear
+FIELD_BITS = 16
+#: largest degree, and so largest exponent, a packed monomial holds
+MAX_DEGREE = (1 << (FIELD_BITS - 1)) - 1
+FIELD_MASK = (1 << FIELD_BITS) - 1
 
-def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(map(add, a, b))
+
+# -- packed monomials ---------------------------------------------------------
 
 
-def monomial_sort_key(m: Monomial):
-    """Ascending sort by this key lists monomials from largest to smallest.
+def pack_monomial(m: Monomial) -> int:
+    """The monomial as one int: its degree in the top field and below it the
+    exponents from the last variable down to the first, FIELD_BITS each.
 
-    Largest first means: 1 first, then degree 1, ... with reverse-lex
-    tie-breaking inside a degree.
+    With shift = FIELD_BITS * len(m), the degree is k >> shift; ascending int
+    order is the local order, largest monomial first, and the product of two
+    monomials is the sum of their ints.  The packing is exact when every
+    exponent is at most MAX_DEGREE.
     """
-    return (sum(m), tuple(reversed(m)))
+    k = sum(m)
+    for e in reversed(m):
+        k = (k << FIELD_BITS) + e
+    return k
 
 
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
+def unpack_monomial(k: int, nvars: int) -> Monomial:
+    """The exponent tuple of a packed monomial in nvars variables."""
+    return tuple((k >> (FIELD_BITS * i)) & FIELD_MASK for i in range(nvars))
+
+
+def guard_bits(nvars: int) -> int:
+    """The guard bits G of the exponent fields.  For packed a and b,
+    a | b exactly when ((b | G) - a) & G == G: each field of b - a is
+    computed above its set guard bit, so no field borrows from the next, and
+    a field keeps its guard exactly when b's exponent is at least a's."""
+    return sum(1 << (FIELD_BITS * i + FIELD_BITS - 1) for i in range(nvars))
+
+
+def check_degree(d: int) -> None:
+    """Raise before a monomial of degree d is packed, when it cannot be."""
+    if d > MAX_DEGREE:
+        raise ExponentOverflow(
+            f"degree {d} exceeds {MAX_DEGREE}, the largest a packed monomial holds"
+        )
 
 
 class Poly:
-    """Immutable sparse polynomial with exact rational coefficients."""
+    """Immutable sparse polynomial with exact rational coefficients.
 
-    __slots__ = ("vars", "terms")
+    terms maps packed monomials to nonzero int numerators over den > 0, and
+    den is coprime to their content (1 for the zero polynomial), so equal
+    polynomials have equal terms and den.  No monomial has degree above
+    MAX_DEGREE: an operation whose result would raises ExponentOverflow.
+    """
 
-    def __init__(self, vars: Sequence[str], terms: Mapping[Monomial, Fraction] | None = None):
-        object.__setattr__(self, "vars", tuple(vars))
-        clean: dict[Monomial, Fraction] = {}
-        if terms:
-            n = len(self.vars)
-            for mono, coeff in terms.items():
-                c = _as_fraction(coeff)
-                if c == 0:
-                    continue
-                mono = tuple(mono)
-                if len(mono) != n or any(e < 0 for e in mono):
-                    raise ValueError(f"bad exponent vector {mono} for {self.vars}")
-                clean[mono] = c
-        object.__setattr__(self, "terms", clean)
+    __slots__ = ("vars", "terms", "den")
+
+    def __init__(
+        self, vars: Sequence[str], terms: Mapping[Monomial, int | Fraction] | None = None
+    ):
+        """terms maps exponent tuples to int or Fraction coefficients."""
+        vars = tuple(vars)
+        fracs: dict[int, Fraction] = {}
+        for mono, c in (terms or {}).items():
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
+            mono = tuple(mono)
+            if len(mono) != len(vars) or min(mono, default=0) < 0 or sum(mono) > MAX_DEGREE:
+                raise ValueError(
+                    f"bad exponent vector {mono} for {vars} (degree at most {MAX_DEGREE})"
+                )
+            if c:
+                fracs[pack_monomial(mono)] = Fraction(c)
+        # the lcm of reduced denominators is coprime to the content
+        den = lcm(*(c.denominator for c in fracs.values()))
+        nums = {m: c.numerator * (den // c.denominator) for m, c in fracs.items()}
+        self._set(vars, nums, den)
+
+    def _set(self, vars, terms, den) -> None:
+        object.__setattr__(self, "vars", vars)
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _packed(cls, vars: tuple[str, ...], terms: dict[int, int], den=1) -> "Poly":
+        """The Poly of packed terms over den > 0, none zero, made canonical."""
+        g = den
+        for c in terms.values():
+            if g == 1:
+                break
+            g = gcd(g, c)
+        if g != 1:
+            terms = {m: c // g for m, c in terms.items()}
+            den //= g
+        p = object.__new__(cls)
+        p._set(vars, terms, den)
+        return p
 
     def __setattr__(self, *_):
         raise AttributeError("Poly is immutable")
@@ -77,15 +136,14 @@ class Poly:
 
     @classmethod
     def constant(cls, c, vars: Sequence[str]) -> "Poly":
-        return cls(vars, {tuple([0] * len(vars)): _as_fraction(c)})
+        return cls(vars, {tuple([0] * len(vars)): c})
 
     @classmethod
     def variable(cls, name: str, vars: Sequence[str]) -> "Poly":
         vars = tuple(vars)
         if name not in vars:
             raise ValueError(f"unknown variable {name!r} in ambient {vars}")
-        expo = tuple(1 if v == name else 0 for v in vars)
-        return cls(vars, {expo: Fraction(1)})
+        return cls(vars, {tuple(int(v == name) for v in vars): 1})
 
     # -- basic queries -----------------------------------------------------
 
@@ -93,7 +151,7 @@ class Poly:
         return not self.terms
 
     def constant_term(self) -> Fraction:
-        return self.terms.get(tuple([0] * len(self.vars)), Fraction(0))
+        return Fraction(self.terms.get(0, 0), self.den)
 
     # -- ring operations ---------------------------------------------------
 
@@ -109,19 +167,21 @@ class Poly:
 
     def __add__(self, other) -> "Poly":
         other = self._lift(other)
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            s = out.get(mono, Fraction(0)) + coeff
-            if s == 0:
-                out.pop(mono, None)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        out = {m: c * a for m, c in self.terms.items()} if a != 1 else dict(self.terms)
+        for m, c in other.terms.items():
+            s = out.get(m, 0) + c * b
+            if s:
+                out[m] = s
             else:
-                out[mono] = s
-        return Poly(self.vars, out)
+                del out[m]
+        return Poly._packed(self.vars, out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(self.vars, {m: -c for m, c in self.terms.items()})
+        return Poly._packed(self.vars, {m: -c for m, c in self.terms.items()}, self.den)
 
     def __sub__(self, other) -> "Poly":
         return self + (-self._lift(other))
@@ -130,30 +190,28 @@ class Poly:
         return self._lift(other) - self
 
     def __mul__(self, other) -> "Poly":
-        if not isinstance(other, Poly):
-            c = _as_fraction(other)
-            if c == 0:
-                return Poly.zero(self.vars)
-            return Poly(self.vars, {m: k * c for m, k in self.terms.items()})
-        self._check_same_ambient(other)
-        out: dict[Monomial, Fraction] = {}
+        other = self._lift(other)
+        if not (self.terms and other.terms):
+            return Poly.zero(self.vars)
+        shift = FIELD_BITS * len(self.vars)
+        # the degree guard: no exponent field can carry into the next
+        check_degree((max(self.terms) >> shift) + (max(other.terms) >> shift))
+        out: dict[int, int] = {}
+        theirs = other.terms.items()
         for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = monomial_mul(m1, m2)
-                s = out.get(mono, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(mono, None)
-                else:
-                    out[mono] = s
-        return Poly(self.vars, out)
+            for m2, c2 in theirs:
+                m = m1 + m2
+                out[m] = out.get(m, 0) + c1 * c2
+        return Poly._packed(
+            self.vars, {m: c for m, c in out.items() if c}, self.den * other.den
+        )
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Poly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = Poly.constant(1, self.vars)
-        base = self
+        result, base = Poly.constant(1, self.vars), self
         while n:
             if n & 1:
                 result = result * base
@@ -164,41 +222,33 @@ class Poly:
     # -- comparisons, hashing, display --------------------------------------
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Poly)
-            and self.vars == other.vars
-            and self.terms == other.terms
-        )
+        return isinstance(other, Poly) and (self.vars, self.den, self.terms) == (
+            other.vars, other.den, other.terms)
 
     def __hash__(self) -> int:
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash((self.vars, self.den, frozenset(self.terms.items())))
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
-        """Terms in canonical order (largest monomial of the local order first)."""
-        return sorted(self.terms.items(), key=lambda t: monomial_sort_key(t[0]))
+        """Terms as (exponent tuple, coefficient) in canonical order (largest
+        monomial of the local order first)."""
+        n = len(self.vars)
+        return [
+            (unpack_monomial(m, n), Fraction(c, self.den))
+            for m, c in sorted(self.terms.items())
+        ]
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
         parts: list[str] = []
         for mono, coeff in self.sorted_terms():
-            factors = [
-                v if e == 1 else f"{v}^{e}"
-                for v, e in zip(self.vars, mono)
-                if e
-            ]
+            factors = [v if e == 1 else f"{v}^{e}" for v, e in zip(self.vars, mono) if e]
             mag = abs(coeff)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(parts)
+            body = "*".join(([] if mag == 1 and factors else [str(mag)]) + factors)
+            if parts:
+                body = ("+ " if coeff > 0 else "- ") + body
+            elif coeff < 0:
+                body = "-" + body
+            parts.append(body)
+        return " ".join(parts) or "0"
 
     def __repr__(self) -> str:
         return f"Poly({'*'.join(self.vars)}: {self})"
@@ -211,14 +261,12 @@ def partial(p: Poly, v: int) -> Poly:
     """Exact formal partial derivative with respect to variable index v."""
     if not 0 <= v < len(p.vars):
         raise ValueError(f"variable index {v} out of range for {p.vars}")
-    out: dict[Monomial, Fraction] = {}
-    for mono, coeff in p.terms.items():
-        e = mono[v]
-        if e == 0:
-            continue
-        lowered = mono[:v] + (e - 1,) + mono[v + 1 :]
-        out[lowered] = out.get(lowered, Fraction(0)) + coeff * e
-    return Poly(p.vars, out)
+    at = FIELD_BITS * v
+    # one less in field v and in the degree
+    step = (1 << (FIELD_BITS * len(p.vars))) + (1 << at)
+    return Poly._packed(p.vars, {
+        m - step: c * e for m, c in p.terms.items() if (e := (m >> at) & FIELD_MASK)
+    }, p.den)
 
 
 def det(rows: Sequence[Sequence]):
@@ -260,14 +308,18 @@ def _require_t_first(p: Poly):
 def substitute_t_squared(p: Poly) -> Poly:
     """Replace t by t^2: t-exponents double, others unchanged."""
     _require_t_first(p)
-    return Poly(p.vars, {(2 * m[0],) + m[1:]: c for m, c in p.terms.items()})
+    shift = FIELD_BITS * len(p.vars)
+    # t is the lowest field: its exponent is added there and to the degree; a
+    # doubled exponent is below 2^FIELD_BITS, so no field carries
+    out = {m + (m & FIELD_MASK) * (1 + (1 << shift)): c for m, c in p.terms.items()}
+    check_degree(max(out, default=0) >> shift)
+    return Poly._packed(p.vars, out, p.den)
 
 
 def set_t_zero(p: Poly) -> Poly:
     """Restrict to t = 0; the result lives in the ambient without t."""
     _require_t_first(p)
-    out: dict[Monomial, Fraction] = {}
-    for mono, coeff in p.terms.items():
-        if mono[0] == 0:
-            out[mono[1:]] = coeff
-    return Poly(p.vars[1:], out)
+    # with the t field 0, dropping it leaves the packing without t
+    return Poly._packed(p.vars[1:], {
+        m >> FIELD_BITS: c for m, c in p.terms.items() if not m & FIELD_MASK
+    }, p.den)

@@ -38,12 +38,10 @@ Four facts are exploited for speed, all exact:
 * The staircase, and with it the truncation degree, is recomputed only when
   a new lead is divisible by no lead already in the basis; any other lead
   leaves the lead ideal as it was.
-* Every monomial is one int (pack_monomial): the product of two monomials
-  is the sum of their ints, divisibility is one subtraction and a mask test,
-  and ascending int order is the monomial order, so heaps and sorted tails
-  hold plain ints and "degree < D" is the comparison m < D << shift.  A
-  completion whose degrees would outgrow the fixed-width exponent fields
-  raises ExponentOverflow instead.
+* Every monomial is one int, packed as in Poly's terms, so heaps and sorted
+  tails hold plain ints, divisibility is one subtraction and a mask test,
+  and "degree < D" is the comparison m < D << shift.  A completion whose
+  degrees would outgrow the exponent fields raises ExponentOverflow.
 
 The staircase of the last such recomputation is therefore the staircase of
 the finished basis, and the completion hands it over: quotient dimensions and
@@ -67,63 +65,32 @@ from __future__ import annotations
 import heapq
 import threading
 from fractions import Fraction
-from itertools import product as _iterproduct
 from math import gcd, inf
-from operator import le
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import (
     DimensionInfinite,
-    ExponentOverflow,
     InternalInconsistency,
     NotAlgebraicallyIsolated,
 )
-from .polyring import Monomial, Poly
+from .polyring import (
+    FIELD_BITS,
+    FIELD_MASK,
+    MAX_DEGREE,
+    Monomial,
+    Poly,
+    check_degree,
+    guard_bits,
+    unpack_monomial,
+)
 
 #: returned by quotient_dim when the quotient is not finite-dimensional
 INFINITE = inf
 
-#: width of one exponent field of a packed monomial; the top bit of each
-#: field is a guard bit that stays clear
-FIELD_BITS = 16
-#: largest homogeneous degree, and so largest exponent, a completion holds
-MAX_DEGREE = (1 << (FIELD_BITS - 1)) - 1
-_FIELD = (1 << FIELD_BITS) - 1
-
 
 # ---------------------------------------------------------------------------
-# packed monomials
+# packed monomials (packed as in polyring) and integer polynomials on them
 # ---------------------------------------------------------------------------
-
-
-def pack_monomial(m: Monomial) -> int:
-    """The monomial as one int: its degree in the top field and below it the
-    exponents from the last variable down to the first, FIELD_BITS each.
-
-    With shift = FIELD_BITS * len(m), the degree is k >> shift; ascending int
-    order is monomial_sort_key order, and the product of two monomials is the
-    sum of their ints.  The packing is exact when every exponent is at most
-    MAX_DEGREE.  A larger one sets its guard bit or carries into the fields
-    above, and the packed degree, never below the true one, then exceeds
-    MAX_DEGREE.
-    """
-    k = sum(m)
-    for e in reversed(m):
-        k = (k << FIELD_BITS) + e
-    return k
-
-
-def unpack_monomial(k: int, nvars: int) -> Monomial:
-    """The exponent tuple of a packed monomial in nvars variables."""
-    return tuple((k >> (FIELD_BITS * i)) & _FIELD for i in range(nvars))
-
-
-def guard_bits(nvars: int) -> int:
-    """The guard bits G of the exponent fields.  For packed a and b,
-    a | b exactly when ((b | G) - a) & G == G: each field of b - a is
-    computed above its set guard bit, so no field borrows from the next, and
-    a field keeps its guard exactly when b's exponent is at least a's."""
-    return sum(1 << (FIELD_BITS * i + FIELD_BITS - 1) for i in range(nvars))
 
 
 def _divides(a: int, b: int, guards: int) -> bool:
@@ -133,9 +100,9 @@ def _divides(a: int, b: int, guards: int) -> bool:
 def _lcm(a: int, b: int, guards: int, shift: int) -> int:
     """Least common multiple of two packed monomials, field by field."""
     # all bits of the fields in which a's exponent is at least b's
-    take_a = ((((a | guards) - b) & guards) >> (FIELD_BITS - 1)) * _FIELD
+    take_a = ((((a | guards) - b) & guards) >> (FIELD_BITS - 1)) * FIELD_MASK
     x = (a & take_a) | (b & ~take_a & ((1 << shift) - 1))
-    deg = sum((x >> s) & _FIELD for s in range(0, shift, FIELD_BITS))
+    deg = sum((x >> s) & FIELD_MASK for s in range(0, shift, FIELD_BITS))
     return (deg << shift) | x
 
 
@@ -150,19 +117,6 @@ def _monomials(d: int, nvars: int) -> list[int]:
     return [(k << FIELD_BITS) + r for k, r in parts]
 
 
-def _check_degree(d: int) -> None:
-    if d > MAX_DEGREE:
-        raise ExponentOverflow(
-            f"degree {d} exceeds {MAX_DEGREE}, the largest a packed "
-            "monomial of the standard-basis completion holds"
-        )
-
-
-# ---------------------------------------------------------------------------
-# integer polynomial helpers (terms keyed by packed monomials)
-# ---------------------------------------------------------------------------
-
-
 def _primitive(terms: dict[int, int]) -> dict[int, int]:
     """Strip integer content and normalize the lead coefficient positive."""
     if not terms:
@@ -175,17 +129,6 @@ def _primitive(terms: dict[int, int]) -> dict[int, int]:
     if g == 1:
         return terms
     return {m: c // g for m, c in terms.items()}
-
-
-def _to_int_terms(p: Poly) -> dict[int, int]:
-    """Clear denominators and pack; the result is primitive with positive
-    lead coefficient."""
-    if p.is_zero():
-        return {}
-    den = 1
-    for c in p.terms.values():
-        den = den * c.denominator // gcd(den, c.denominator)
-    return _primitive({pack_monomial(m): int(c * den) for m, c in p.terms.items()})
 
 
 def _truncate(terms: dict[int, int], lim: int) -> dict[int, int]:
@@ -323,31 +266,47 @@ def _hreduce(
 
 
 def _staircase(
-    leads: Sequence[Monomial], nvars: int, trunc: int | None
-) -> list[Monomial] | None:
-    """Monomials under the staircase, or None when there are infinitely many.
+    leads: Sequence[int], nvars: int, trunc: int | None
+) -> list[int] | None:
+    """The packed monomials under the staircase of the packed leads,
+    ascending, or None when there are infinitely many.
 
     For each exponent prefix of all variables but the last, the monomials
     under the staircase are the prefix with a last exponent below that of
     every lead whose prefix divides it.
     """
+    shift = FIELD_BITS * nvars
+    last = FIELD_BITS * (nvars - 1)  # the field of the last variable
     bounds: list[int] = []
     for v in range(nvars):
-        cands = [m[v] for m in leads if m[v] > 0 and sum(m) == m[v]]
+        # the pure powers of variable v among the leads
+        cands = [
+            lm >> shift for lm in leads
+            if lm >> shift and (lm >> (FIELD_BITS * v)) & FIELD_MASK == lm >> shift
+        ]
         if trunc is not None:
             cands.append(trunc)
         if not cands:
             return None
         bounds.append(min(cands))
-    out: list[Monomial] = []
-    for prefix in _iterproduct(*(range(b) for b in bounds[:-1])):
-        top = bounds[-1]
-        if trunc is not None:
-            top = min(top, trunc - sum(prefix))
+    # (packed prefix fields, their degree)
+    prefixes = [(0, 0)]
+    for v in range(nvars - 1):
+        prefixes = [
+            (k + (e << (FIELD_BITS * v)), s + e)
+            for k, s in prefixes for e in range(bounds[v])
+        ]
+    low, guards = (1 << last) - 1, guard_bits(nvars - 1)
+    out: list[int] = []
+    for k, s in prefixes:
+        top = bounds[-1] if trunc is None else min(bounds[-1], trunc - s)
+        kg = k | guards
         for lm in leads:
-            if lm[-1] < top and all(map(le, lm[:-1], prefix)):
-                top = lm[-1]
-        out.extend(prefix + (k,) for k in range(top))
+            e = (lm >> last) & FIELD_MASK
+            if e < top and (kg - (lm & low)) & guards == guards:
+                top = e
+        out.extend(((s + e) << shift) + (e << last) + k for e in range(top))
+    out.sort()
     return out
 
 
@@ -356,7 +315,7 @@ def _staircase(
 # ---------------------------------------------------------------------------
 
 
-class _Core:
+class _Core(NamedTuple):
     """Result of a completed standard-basis computation.
 
     reducers is the minimal basis in _reducer_key order.  staircase holds
@@ -364,17 +323,9 @@ class _Core:
     when the quotient is infinite-dimensional and () for the unit ideal.
     """
 
-    __slots__ = ("reducers", "trunc", "staircase")
-
-    def __init__(
-        self,
-        reducers: list[_Elem],
-        trunc: int | None,
-        staircase: tuple[int, ...] | None,
-    ):
-        self.reducers = reducers
-        self.trunc = trunc
-        self.staircase = staircase
+    reducers: list[_Elem]
+    trunc: int | None
+    staircase: tuple[int, ...] | None
 
 
 def _complete(gens: list[dict[int, int]], nvars: int) -> _Core:
@@ -386,24 +337,23 @@ def _complete(gens: list[dict[int, int]], nvars: int) -> _Core:
     done: set[tuple[int, int]] = set()
     trunc: int | None = None
     lim = (MAX_DEGREE + 1) << shift  # packed truncation bound
-    staircase: list[Monomial] | None = None
+    staircase: list[int] | None = None
     unit = _Core([_Elem({0: 1}, 0, 0, shift)], 0, ())
 
     def refresh_truncation() -> None:
         nonlocal trunc, lim, staircase
-        leads = [unpack_monomial(e.lm, nvars) for e, a in zip(elems, alive) if a]
-        st = _staircase(leads, nvars, trunc)
+        st = _staircase([e.lm for e, a in zip(elems, alive) if a], nvars, trunc)
         if st is None:
             return
         # a later lead is divisible by an alive lead or refreshes again, and
         # the leads truncation kills have degree >= trunc: the staircase of
         # the last refresh is final
         staircase = st
-        new_trunc = 1 + max((sum(m) for m in st), default=0)
+        new_trunc = 1 + (st[-1] >> shift if st else 0)
         if trunc is not None and new_trunc >= trunc:
             return
         # the basis gains monomials of degree trunc
-        _check_degree(new_trunc)
+        check_degree(new_trunc)
         trunc = new_trunc
         lim = trunc << shift
         for i, e in enumerate(elems):
@@ -441,9 +391,7 @@ def _complete(gens: list[dict[int, int]], nvars: int) -> _Core:
         return False
 
     for g in gens:
-        d = max(g) >> shift
-        _check_degree(d)
-        if add(g, d):
+        if add(g, max(g) >> shift):
             return unit
 
     while pairs:
@@ -471,7 +419,7 @@ def _complete(gens: list[dict[int, int]], nvars: int) -> _Core:
                 break
         if skip:
             continue
-        _check_degree(d_sp)
+        check_degree(d_sp)
         sp = _hspoly(ei, ej, lcm, lim)
         if not sp:
             continue
@@ -492,7 +440,6 @@ def _complete(gens: list[dict[int, int]], nvars: int) -> _Core:
             for other in final
         ):
             kept.append(e)
-    packed = None
     if staircase is not None:
         # the truncation-degree monomials are members of the localized ideal;
         # materialize the ones no kept lead covers so the basis generates the
@@ -503,9 +450,9 @@ def _complete(gens: list[dict[int, int]], nvars: int) -> _Core:
             if not any(_divides(lm, k, guards) for lm in leads):
                 kept.append(_Elem({k: 1}, trunc, idx, shift))
                 idx += 1
-        packed = tuple(sorted(map(pack_monomial, staircase)))
+        staircase = tuple(staircase)
     kept.sort(key=_reducer_key)
-    return _Core(kept, trunc, packed)
+    return _Core(kept, trunc, staircase)
 
 
 # ---------------------------------------------------------------------------
@@ -537,18 +484,15 @@ class LocalIdeal:
         if self._core is None:
             with self._lock:
                 if self._core is None:
-                    gens = [_to_int_terms(g) for g in self.generators]
-                    self._core = _complete([g for g in gens if g], len(self.vars))
+                    # add() strips each generator's content
+                    gens = [g.terms for g in self.generators if g.terms]
+                    self._core = _complete(gens, len(self.vars))
         return self._core
 
     @property
     def std_basis(self) -> tuple[Poly, ...]:
-        n = len(self.vars)
         return tuple(
-            Poly(self.vars, {
-                unpack_monomial(m, n): Fraction(c) for m, c in e.terms().items()
-            })
-            for e in self._ensure_core().reducers
+            Poly._packed(self.vars, e.terms()) for e in self._ensure_core().reducers
         )
 
     @property
@@ -587,15 +531,12 @@ class LocalIdeal:
         return INFINITE if st is None else len(st)
 
     def cobasis(self) -> tuple[Monomial, ...]:
-        """The staircase: the monomials outside the lead ideal, sorted by
-        monomial_sort_key, largest first; they form a basis of the quotient."""
+        """The staircase: the monomials outside the lead ideal as exponent
+        tuples, largest first; they form a basis of the quotient."""
         st = self._ensure_core().staircase
         if st is None:
-            raise DimensionInfinite(
-                f"ideal in {self.vars} has infinite codimension"
-            )
-        n = len(self.vars)
-        return tuple(unpack_monomial(m, n) for m in st)
+            raise DimensionInfinite(f"ideal in {self.vars} has infinite codimension")
+        return tuple(unpack_monomial(m, len(self.vars)) for m in st)
 
 
 class LocalAlgebra:
@@ -686,8 +627,8 @@ class LocalAlgebra:
         """
         if p.vars != self.vars:
             raise ValueError("ambient mismatch")
-        index, rows, n = self._index, self._rows, self._n
-        h = {pack_monomial(m): c for m, c in p.terms.items() if sum(m) < n}
+        index, rows, cap = self._index, self._rows, self._cap
+        h = {m: Fraction(c, p.den) for m, c in p.terms.items() if m < cap}
         heap = [m for m in h if m not in index]
         heapq.heapify(heap)
         while heap:

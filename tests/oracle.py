@@ -23,8 +23,9 @@ def poly_evaluator(p: Poly):
     if p.is_zero():
         nv = len(p.vars)
         return lambda x: np.zeros(np.asarray(x).shape[0])
-    exps = np.array(list(p.terms.keys()), dtype=np.int64)
-    coeffs = np.array([float(c) for c in p.terms.values()])
+    terms = p.sorted_terms()
+    exps = np.array([m for m, _ in terms], dtype=np.int64)
+    coeffs = np.array([float(c) for _, c in terms])
 
     def ev(x):
         x = np.asarray(x, dtype=np.float64)

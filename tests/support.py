@@ -5,7 +5,7 @@ families used as regression anchors."""
 import random
 from fractions import Fraction
 
-from cuspcount.branch_counter import GenericCombination, curve_criterion_ideal
+from cuspcount.branch_counter import curve_criterion_ideal
 from cuspcount.polyring import Poly, det
 from cuspcount.standard_basis import INFINITE, LocalIdeal
 
@@ -59,12 +59,12 @@ def random_origin_poly(rng, vars, **kw) -> Poly:
 
 def flip_t(p: Poly) -> Poly:
     """p with t replaced by -t (t is the first variable)."""
-    return Poly(p.vars, {m: -c if m[0] % 2 else c for m, c in p.terms.items()})
+    return Poly(p.vars, {m: -c if m[0] % 2 else c for m, c in p.sorted_terms()})
 
 
 def swap_x(p: Poly) -> Poly:
     """p in (t, x1, x2) with x1 and x2 exchanged."""
-    return Poly(p.vars, {(m[0], m[2], m[1]): c for m, c in p.terms.items()})
+    return Poly(p.vars, {(m[0], m[2], m[1]): c for m, c in p.sorted_terms()})
 
 
 def _draw_matrix(rng: random.Random, attempt: int) -> list[list[int]]:
@@ -84,11 +84,11 @@ def _draw_matrix(rng: random.Random, attempt: int) -> list[list[int]]:
 
 
 def random_combination(w1: Poly, w2: Poly, w3: Poly, seed: int,
-                       max_attempts: int = 32) -> GenericCombination:
-    """A seeded random nonsingular combination of (w1, w2, w3) whose curve
-    criterion ideal and <t, g1, g2> both have finite codimension: an
-    alternative to the identity permutation for cross-checking branch
-    counts."""
+                       max_attempts: int = 32):
+    """(rows, g): a seeded random nonsingular combination
+    g_s = sum_j rows[s][j] * w_j of (w1, w2, w3) whose curve criterion ideal
+    and <t, g1, g2> both have finite codimension, an alternative to the
+    identity permutation for cross-checking branch counts."""
     rng = random.Random(seed)
     ws = (w1, w2, w3)
     t = Poly.variable("t", w1.vars)
@@ -106,7 +106,5 @@ def random_combination(w1: Poly, w2: Poly, w3: Poly, seed: int,
             continue
         if LocalIdeal([t, g[0], g[1]]).quotient_dim() == INFINITE:
             continue
-        return GenericCombination(
-            tuple(map(tuple, rows)), g, identity_choice=False
-        )
+        return tuple(map(tuple, rows)), g
     raise AssertionError(f"no verified combination in {max_attempts} draws")

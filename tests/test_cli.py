@@ -200,6 +200,32 @@ def test_input_file_errors_name_their_line(tmp_path, capsys, text, message):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("seed", ["\u0663", "3_0", " \u0663", "\u0663_0"])
+def test_seed_takes_ascii_digits_only(tmp_path, capsys, seed):
+    # int() reads "\u0663_0" (Arabic-Indic three) as 30
+    config = tmp_path / "family.txt"
+    config.write_text(f"f1 = {EX1[0]}\nf2 = {EX1[1]}\nseed = {seed}\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", "--input", str(config))
+    assert code == 1 and out == ""
+    assert err.startswith("error: line 3: seed ")
+    code, out, err = run_cli(
+        capsys, "analyze", "--f1", EX1[0], "--f2", EX1[1], "--seed", seed
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: seed ")
+
+
+def test_seed_takes_an_optional_sign(tmp_path, capsys):
+    config = tmp_path / "family.txt"
+    config.write_text(f"f1 = {EX1[0]}\nf2 = {EX1[1]}\nseed = -3\n", encoding="utf-8")
+    code, out, _ = run_cli(capsys, "analyze", "--input", str(config), "--json")
+    assert code == 0 and json.loads(out)["input"]["seed"] == -3
+    code, out, _ = run_cli(
+        capsys, "analyze", "--f1", EX1[0], "--f2", EX1[1], "--seed", "+4", "--json"
+    )
+    assert code == 0 and json.loads(out)["input"]["seed"] == 4
+
+
 def test_json_roundtrip(ex1_report):
     doc = json.loads(render_json(ex1_report))
     assert doc == report_to_dict(ex1_report)

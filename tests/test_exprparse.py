@@ -29,7 +29,7 @@ def test_rational_literals():
     from fractions import Fraction
 
     f = parse_poly("3/4*x1 - 1/2")
-    assert f.terms[(0, 1, 0)] == Fraction(3, 4)
+    assert dict(f.sorted_terms())[(0, 1, 0)] == Fraction(3, 4)
     assert f.constant_term() == Fraction(-1, 2)
     assert parse_poly("1 / 2") == parse_poly("1/2")
 

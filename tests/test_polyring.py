@@ -1,10 +1,13 @@
 import random
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 import pytest
 
+from cuspcount.errors import ExponentOverflow
 from cuspcount.polyring import (
+    MAX_DEGREE,
     Poly,
     VARS_TX,
     VARS_X,
@@ -157,22 +160,115 @@ def test_substitution_is_ring_homomorphism():
         assert substitute_t_squared(a * b) == substitute_t_squared(a) * substitute_t_squared(b)
 
 
+def assert_canonical(q):
+    """den > 0, no zero numerator, and den coprime to the content."""
+    assert q.den > 0
+    assert all(q.terms.values())
+    content = 0
+    for c in q.terms.values():
+        content = gcd(content, c)
+    assert gcd(content, q.den) == 1
+
+
 def test_coefficients_stay_reduced():
     rng = random.Random(10)
     acc = Poly.constant(Fraction(1, 3), VARS_X)
     for _ in range(10):
         acc = acc * random_poly(rng, VARS_X, rational=True) + acc
-    for coeff in acc.terms.values():
+        assert_canonical(acc)
+    for _, coeff in acc.sorted_terms():
         assert coeff != 0
-        assert coeff.denominator > 0
-        # Fraction keeps itself reduced; spot-check the invariant anyway
-        from math import gcd
-        assert gcd(coeff.numerator, coeff.denominator) == 1
+
+
+def test_canonical_form_is_unique():
+    rng = random.Random(14)
+    for vars in (VARS_X, VARS_TX) * 40:
+        a = random_poly(rng, vars, rational=True)
+        b = random_poly(rng, vars, rational=True)
+        for q in (a, a + b, a - b, a * b, a - a, partial(a, 0), a * Fraction(6, 4)):
+            assert_canonical(q)
+        third = a * Fraction(1, 3)
+        assert_canonical(third)
+        assert third * 3 == a and hash(third * 3) == hash(a)
+        # the same polynomial built from its terms, or by another route
+        assert Poly(vars, dict(a.sorted_terms())) == a
+        assert hash((a + b) - b) == hash(a) and (a + b) - b == a
+    assert Poly.zero(VARS_X).den == 1 and (p("x1") * Fraction(1, 2) * 0).den == 1
 
 
 def test_no_zero_coefficients_stored():
     q = p("x1 + x2") - p("x2")
-    assert set(q.terms) == {(0, 1, 0)}
+    assert [m for m, _ in q.sorted_terms()] == [(0, 1, 0)]
+
+
+def evaluate(q, point):
+    """Independent evaluation from the exponent tuples of sorted_terms()."""
+    total = Fraction(0)
+    for mono, c in q.sorted_terms():
+        for x, e in zip(point, mono):
+            c *= x ** e
+        total += c
+    return total
+
+
+def evaluate_partial(q, v, point):
+    """The derivative in variable v, evaluated term by term."""
+    total = Fraction(0)
+    for mono, c in q.sorted_terms():
+        if mono[v]:
+            c *= mono[v]
+            for i, (x, e) in enumerate(zip(point, mono)):
+                c *= x ** (e - 1 if i == v else e)
+            total += c
+    return total
+
+
+def test_ring_operations_agree_with_evaluation():
+    rng = random.Random(15)
+
+    def rational():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+    for vars in (VARS_X, VARS_TX) * 40:
+        a = random_poly(rng, vars, rational=True)
+        b = random_poly(rng, vars, rational=True)
+        c = rational()
+        n = rng.randint(0, 3)
+        for _ in range(3):
+            pt = tuple(rational() for _ in vars)
+            va, vb = evaluate(a, pt), evaluate(b, pt)
+            assert evaluate(a + b, pt) == va + vb
+            assert evaluate(a - b, pt) == va - vb
+            assert evaluate(-a, pt) == -va
+            assert evaluate(a * b, pt) == va * vb
+            assert evaluate(a * c, pt) == va * c
+            assert evaluate(a + c, pt) == va + c
+            assert evaluate(c - a, pt) == c - va
+            assert evaluate(a ** n, pt) == va ** n
+            for v in range(len(vars)):
+                assert evaluate(partial(a, v), pt) == evaluate_partial(a, v, pt)
+            if vars == VARS_TX:
+                t, *x = pt
+                assert evaluate(substitute_t_squared(a), pt) == evaluate(a, (t * t, *x))
+                assert evaluate(set_t_zero(a), x) == evaluate(a, (0, *x))
+
+
+def test_degree_past_the_packed_fields_raises():
+    t = Poly.variable("t", VARS_TX)
+    with pytest.raises(ValueError):
+        Poly(VARS_TX, {(MAX_DEGREE + 1, 0, 0): 1})
+    with pytest.raises(ValueError):
+        Poly(VARS_TX, {(MAX_DEGREE, 1, 0): 1})
+    top = t ** MAX_DEGREE
+    assert top.sorted_terms() == [((MAX_DEGREE, 0, 0), 1)]
+    with pytest.raises(ExponentOverflow):
+        t ** (MAX_DEGREE + 1)
+    with pytest.raises(ExponentOverflow):
+        top * p("x2 + 1")
+    half = t ** 16383
+    assert substitute_t_squared(half).sorted_terms() == [((32766, 0, 0), 1)]
+    with pytest.raises(ExponentOverflow):
+        substitute_t_squared(t ** 16384)
 
 
 def test_pow():
