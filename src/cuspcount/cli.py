@@ -20,7 +20,7 @@ from dataclasses import asdict
 from .branch_counter import DEFAULT_XI_CAP
 from .cusp_pipeline import BifurcationReport, run
 from .errors import CuspCountError, HypothesisError, ParseError, PipelineError
-from .exprparse import EXPONENT_CAP, parse_poly
+from .exprparse import EXPONENT_CAP, NESTING_CAP, parse_poly
 
 GRAMMAR_HELP = f"""\
 expression grammar (whitespace-insensitive):
@@ -31,7 +31,8 @@ expression grammar (whitespace-insensitive):
 multiplication is always explicit ("t*x1", never "t x1"); "/" only occurs
 inside rational literals such as 3/4, which take no exponent ("(2/3)^2", not
 "2/3^2"); exponents are integers in [0, {EXPONENT_CAP}], and so is the degree
-of every expression in each variable.
+of every expression in each variable; parentheses and unary minus signs nest
+at most {NESTING_CAP} deep, counted together.
 """
 
 JSON_SCHEMA_VERSION = 1

@@ -21,6 +21,10 @@ accepted, "(x1^64)^64" and "x1^64*x1" are not.  The degree in a variable of
 a product is the sum of the factors' degrees and that of a power is the
 exponent times the base's, so the "^" or "*" that would first exceed the cap
 is rejected before its result is expanded.
+
+NESTING_CAP bounds how deep parentheses and unary minus signs nest, counted
+together ("-(-(x1))" nests 4 deep), so that deep input cannot exhaust the
+interpreter's stack: the "(" or "-" that would pass it is rejected.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from .errors import ParseError
 from .polyring import VARS_TX, Poly, unpack_monomial
 
 EXPONENT_CAP = 64
+NESTING_CAP = 64
 
 _TOKEN_CHARS = set("+-*/^()")
 _DIGITS = set("0123456789")
@@ -78,6 +83,7 @@ class _Parser:
         self.vars = vars
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # open parentheses and unary minus signs
 
     def peek(self):
         return self.tokens[self.pos]
@@ -132,11 +138,23 @@ class _Parser:
                 return acc
 
     def unary(self) -> Poly:
-        kind, value, _ = self.peek()
+        kind, value, at = self.peek()
         if kind == "OP" and value == "-":
             self.advance()
-            return -self.unary()
+            return -self.nested(self.unary, at)
         return self.power()
+
+    def nested(self, parse, at: int) -> Poly:
+        """parse() one level deeper, for the "(" or "-" at position `at`."""
+        if self.depth == NESTING_CAP:
+            raise ParseError(
+                "parentheses and unary minus signs nest deeper than the "
+                f"nesting cap of {NESTING_CAP}", at
+            )
+        self.depth += 1
+        inner = parse()
+        self.depth -= 1
+        return inner
 
     def power(self) -> Poly:
         base = self.atom()
@@ -192,7 +210,7 @@ class _Parser:
                 raise ParseError(f"unknown identifier {value!r}", at)
             return Poly.variable(value, self.vars)
         if kind == "OP" and value == "(":
-            inner = self.expr()
+            inner = self.nested(self.expr, at)
             self.expect_op(")")
             return inner
         if kind == "OP" and value == "/":

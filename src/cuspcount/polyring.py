@@ -128,6 +128,10 @@ class Poly:
     def __setattr__(self, *_):
         raise AttributeError("Poly is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through _packed, not through __setattr__
+        return (Poly._packed, (self.vars, self.terms, self.den))
+
     # -- constructors ------------------------------------------------------
 
     @classmethod

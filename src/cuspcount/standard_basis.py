@@ -51,9 +51,10 @@ The local algebra Q of a zero-dimensional ideal is the quotient of the local
 ring by it.  Its maximal ideal is nilpotent: with N = 1 + (max staircase
 degree), every monomial of degree >= N lies in the localized ideal, so Q is
 the quotient of the polynomials of degree < N by the span of the truncated
-multiples of the standard basis.  LocalAlgebra reads exact, canonical
-coordinates on the staircase basis off that description by one top-down
-sweep over monomial relations; no normal-form units are involved.  Every
+multiples of the standard basis.  LocalAlgebra's exact, canonical
+coordinates on the staircase basis come from the completion's own reduction
+below degree N, and the dual functional of a staircase monomial from one
+bottom-up pass over the reducers; no normal-form units are involved.  Every
 monomial of degree N is zero in Q, so each staircase monomial of top degree
 is annihilated by the maximal ideal.  For a complete intersection the
 annihilator of the maximal ideal, the socle, is one-dimensional; the last
@@ -201,7 +202,7 @@ def _hspoly(f: _Elem, g: _Elem, lcm: int, lim: int) -> dict[int, int]:
 def _hreduce(
     d_p: int, p_terms: dict[int, int], basis: list[_Elem], trunc: int | None,
     nvars: int,
-) -> dict[int, int]:
+) -> tuple[dict[int, int], int]:
     """Full reduction of a homogeneous polynomial of degree d_p.
 
     A term x^m (implicit homogenizer exponent d_p - |m|) is reducible by r
@@ -210,8 +211,8 @@ def _hreduce(
     used.  The order is global, so plain top-down reduction terminates.
     The reduction is fraction-free: where a step would divide by r's lead
     coefficient, everything is multiplied by it instead, so coefficients
-    stay integers and only their common scale differs from the rational
-    reduction.  The result is primitive integer, which removes that scale.
+    stay integers.  Returns the reduced terms and that total multiplier, a
+    nonzero int: the terms divided by it are the rational reduction.
     Terms of degree trunc or more are dropped.
     """
     shift = FIELD_BITS * nvars
@@ -226,6 +227,7 @@ def _hreduce(
     heap = list(h)
     heapq.heapify(heap)
     out: dict[int, int] = {}
+    mult = 1
     while heap:
         m = heapq.heappop(heap)
         c = h.pop(m, None)
@@ -241,6 +243,7 @@ def _hreduce(
         g = gcd(c, red.lc)
         scale, q = red.lc // g, c // g
         if scale != 1:
+            mult *= scale
             h = {mm: cc * scale for mm, cc in h.items()}
             out = {mm: cc * scale for mm, cc in out.items()}
         w = m - lm
@@ -257,7 +260,7 @@ def _hreduce(
                 del h[mm]
             else:
                 h[mm] = old - d
-    return _primitive(out)
+    return out, mult
 
 
 # ---------------------------------------------------------------------------
@@ -424,9 +427,10 @@ def _complete(gens: list[dict[int, int]], nvars: int) -> _Core:
         if not sp:
             continue
         reducers = [e for e, a in zip(elems, alive) if a]
-        nf = _hreduce(d_sp, sp, reducers, trunc, nvars)
+        nf, _ = _hreduce(d_sp, sp, reducers, trunc, nvars)
         if not nf:
             continue
+        # add() makes the remainder primitive
         if add(nf, d_sp):
             return unit
 
@@ -563,35 +567,16 @@ class LocalAlgebra:
         self._n: int = core.trunc
         # packed monomials below _cap are those of degree < N
         self._cap = self._n << (FIELD_BITS * len(self.vars))
-        self._rows = self._build_rows(core.reducers)
+        self._reducers = core.reducers
+        # at this degree no homogenizer exponent blocks a term below N, so a
+        # reducer applies to a monomial exactly when its lead divides it
+        self._hdeg = self._n - 1 + max(r.a for r in core.reducers)
 
-    # -- construction --------------------------------------------------------
-
-    def _build_rows(self, reducers: list[_Elem]):
-        """For each non-staircase monomial m of degree < N, in ascending
-        order, a relation m = -(1/lc) * sum(tail) modulo the ideal, from the
-        first reducer whose lead divides m, shifted onto m."""
-        nvars, cap = len(self.vars), self._cap
-        guards = guard_bits(nvars)
-        rows: dict[int, tuple[int, tuple[tuple[int, int], ...]]] = {}
-        for d in range(self._n):
-            for m in _monomials(d, nvars):
-                if m in self._index:
-                    continue
-                best = next((r for r in reducers if _divides(r.lm, m, guards)), None)
-                if best is None:
-                    raise InternalInconsistency(
-                        f"monomial {unpack_monomial(m, nvars)} is neither "
-                        "standard nor reducible"
-                    )
-                w = m - best.lm
-                room = cap - w
-                rows[m] = (best.lc, tuple(
-                    (mono + w, c) for mono, c in best.tail if mono < room
-                ))
-        return rows
-
-    # -- canonical reduction --------------------------------------------------
+    def _unreduced(self, m: int) -> InternalInconsistency:
+        return InternalInconsistency(
+            f"monomial {unpack_monomial(m, len(self.vars))} is neither "
+            "standard nor reducible"
+        )
 
     def functional_table(self, m_star: int) -> dict[int, Fraction]:
         """Values of the dual functional of the packed staircase monomial
@@ -599,57 +584,46 @@ class LocalAlgebra:
         monomial."""
         if m_star not in self._index:
             raise ValueError(f"{m_star!r} is not a packed staircase monomial")
-        index = self._index
-        table = {}
-        for m in reversed(self._rows):  # smallest first
-            lc, tail = self._rows[m]
-            acc = Fraction(0)
-            for mono, c in tail:
-                if mono in index:
-                    if mono == m_star:
-                        acc += c
-                else:
-                    v = table[mono]
+        index, reducers, cap = self._index, self._reducers, self._cap
+        nvars, guards = len(self.vars), guard_bits(len(self.vars))
+        table = {m: Fraction(1 if m == m_star else 0) for m in self._staircase}
+        # smallest first: m = -(1/lc) * (tail of its reducer shifted onto m),
+        # and every term of that tail is smaller than m
+        for d in reversed(range(self._n)):
+            for m in reversed(_monomials(d, nvars)):
+                if m in index:
+                    continue
+                red = next((r for r in reducers if _divides(r.lm, m, guards)), None)
+                if red is None:
+                    raise self._unreduced(m)
+                w = m - red.lm
+                acc = Fraction(0)
+                for mono, c in red.tail:
+                    mm = mono + w
+                    if mm >= cap:
+                        break
+                    v = table[mm]
                     if v:
                         acc += c * v
-            table[m] = -acc / lc
-        for m in self._staircase:
-            table[m] = Fraction(1 if m == m_star else 0)
+                table[m] = -acc / red.lc
         return table
 
     def coords(self, p: Poly) -> tuple[Fraction, ...]:
-        """Coordinates of the class of p in the staircase basis.
-
-        One top-down sweep: terms of degree >= N are dropped, and the
-        largest non-staircase monomial left is replaced by its relation in
-        _rows, whose terms are all smaller, until only staircase monomials
-        remain.
-        """
+        """Coordinates of the class of p in the staircase basis: the
+        completion's reduction of p below degree N, divided by its
+        multiplier and by p's denominator."""
         if p.vars != self.vars:
             raise ValueError("ambient mismatch")
-        index, rows, cap = self._index, self._rows, self._cap
-        h = {m: Fraction(c, p.den) for m, c in p.terms.items() if m < cap}
-        heap = [m for m in h if m not in index]
-        heapq.heapify(heap)
-        while heap:
-            m = heapq.heappop(heap)
-            c = h.pop(m, None)
-            if c is None:
-                continue  # cancelled after it was pushed
-            lc, tail = rows[m]
-            q = c / lc
-            for mono, cc in tail:
-                old = h.get(mono)
-                new = (0 if old is None else old) - q * cc
-                if new:
-                    h[mono] = new
-                    if old is None and mono not in index:
-                        heapq.heappush(heap, mono)
-                elif old is not None:
-                    del h[mono]
+        out, mult = _hreduce(
+            self._hdeg, p.terms, self._reducers, self._n, len(self.vars)
+        )
         vec = [Fraction(0)] * self.dim
-        for m, c in h.items():
-            vec[index[m]] = c
+        den = mult * p.den
+        for m, c in out.items():
+            i = self._index.get(m)
+            if i is None:
+                raise self._unreduced(m)
+            vec[i] = Fraction(c, den)
         return tuple(vec)
 
     def socle_pairing(self) -> list[list[Fraction]]:

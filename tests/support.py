@@ -67,6 +67,17 @@ def swap_x(p: Poly) -> Poly:
     return Poly(p.vars, {(m[0], m[2], m[1]): c for m, c in p.sorted_terms()})
 
 
+def compose(p: Poly, images) -> Poly:
+    """p with each variable replaced by its image, a Poly in p's ambient."""
+    out = Poly.zero(p.vars)
+    for mono, c in p.sorted_terms():
+        term = Poly.constant(c, p.vars)
+        for image, e in zip(images, mono):
+            term = term * image**e
+        out = out + term
+    return out
+
+
 def _draw_matrix(rng: random.Random, attempt: int) -> list[list[int]]:
     """Candidate combination matrices, sparsest first: a signed permutation,
     from the third draw on with one extra entry, and dense from the ninth."""

@@ -1,4 +1,5 @@
 import json
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -104,6 +105,14 @@ def test_nested_power_past_the_cap_is_a_parse_error(capsys):
     )
     assert code == 1
     assert "cap of 64" in err and "position 8" in err
+
+
+def test_deep_nesting_is_a_parse_error(capsys):
+    code, _, err = run_cli(
+        capsys, "analyze", "--f1", "(" * 300 + "x1" + ")" * 300, "--f2", "x2"
+    )
+    assert code == 1
+    assert "nesting cap of 64" in err and "position 64" in err
 
 
 def test_power_of_a_rational_literal_is_a_parse_error(capsys):
@@ -242,6 +251,13 @@ def test_report_matches_golden(capsys, flags, golden):
     code, out, _ = run_cli(capsys, "analyze", "--f1", EX1[0], "--f2", EX1[1], *flags)
     assert code == 0
     assert out == (GOLDEN / golden).read_bytes().decode("utf-8")
+
+
+def test_analysis_runs_in_a_worker_process():
+    # the Poly arguments and the report cross the process boundary by pickle
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        report = pool.submit(run, parse_poly(EX1[0]), parse_poly(EX1[1])).result()
+    assert report_to_dict(report) == json.loads((GOLDEN / "ex1.json").read_text("utf-8"))
 
 
 def test_help_documents_grammar(capsys):

@@ -69,16 +69,31 @@ def test_algebra_rejects_malformed_germs():
         build_algebra([p2("x1"), parse_poly("y", ("x1", "y"))])
 
 
+def _large_H_algebra():
+    """A dim >= 50 algebra whose reducers have leading coefficients 4, 6
+    and 54, so coords' fraction-free reduction carries a multiplier."""
+    d = derive(p3(CRAFTED_FAMILIES[0][0]), p3(CRAFTED_FAMILIES[0][1]))
+    g1, g2, g3 = (substitute_t_squared(g) for g in (d.F1, d.F2, d.J))
+    return build_algebra(build_H(g1, g2, g3, 6, +1))
+
+
 def test_algebra_coords_are_linear():
     rng = random.Random(41)
-    a = build_algebra([p2("x1^3 + x2^2"), p2("x1*x2")])
-    for _ in range(20):
-        f = random_origin_poly(rng, VARS_X, max_deg=4)
-        g = random_origin_poly(rng, VARS_X, max_deg=4)
-        c = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
-        lhs = a.coords(f * c + g)
-        rhs = tuple(c * x + y for x, y in zip(a.coords(f), a.coords(g)))
-        assert lhs == rhs
+    small = build_algebra([p2("x1^3 + x2^2"), p2("x1*x2")])
+    large = _large_H_algebra()
+    assert {4, 6, 54} <= {r.lc for r in large._reducers}
+    for a, max_deg in ((small, 4), (large, large._n + 2)):
+        high = 0  # terms at or above the nilpotency degree N
+        for _ in range(20):
+            f, g = (random_origin_poly(rng, a.vars, max_deg=max_deg,
+                                       n_terms=8, rational=True)
+                    for _ in range(2))
+            high += sum(sum(m) >= a._n for q in (f, g) for m, _ in q.sorted_terms())
+            c = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
+            lhs = a.coords(f * c + g)
+            rhs = tuple(c * x + y for x, y in zip(a.coords(f), a.coords(g)))
+            assert lhs == rhs
+        assert high > 20
 
 
 def _mono(m, vars=VARS_X):
@@ -118,7 +133,7 @@ def test_algebra_mult_table_properties():
 
 
 def _assert_sweeps_are_dual(algebra):
-    """coords (primal sweep) and functional_table (dual recursion) agree on
+    """coords (primal reduction) and functional_table (dual recursion) agree on
     every monomial below the nilpotency degree."""
     n = algebra._n
     nv = len(algebra.vars)
@@ -140,9 +155,7 @@ def test_coords_dual_to_functional_tables_ex1():
 
 
 def test_coords_dual_to_functional_tables_large_H():
-    d = derive(p3(CRAFTED_FAMILIES[0][0]), p3(CRAFTED_FAMILIES[0][1]))
-    g1, g2, g3 = (substitute_t_squared(g) for g in (d.F1, d.F2, d.J))
-    algebra = build_algebra(build_H(g1, g2, g3, 6, +1))
+    algebra = _large_H_algebra()
     assert algebra.dim >= 50
     _assert_sweeps_are_dual(algebra)
 

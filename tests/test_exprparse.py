@@ -3,7 +3,7 @@ import random
 import pytest
 
 from cuspcount.errors import ParseError
-from cuspcount.exprparse import EXPONENT_CAP, parse_poly
+from cuspcount.exprparse import EXPONENT_CAP, NESTING_CAP, parse_poly
 from cuspcount.polyring import Poly, VARS_TX, VARS_X
 
 from support import random_poly
@@ -108,6 +108,24 @@ def test_exponent_cap_bounds_nested_powers_and_products():
         with pytest.raises(ParseError, match=f"cap of {EXPONENT_CAP}") as e:
             parse_poly(text)
         assert e.value.position == at, text
+
+
+def test_nesting_cap():
+    for depth in (NESTING_CAP, NESTING_CAP + 1, 300):
+        # parentheses alone, minus signs alone, and the two counted together
+        mixed = "".join("(-"[i % 2] for i in range(depth))
+        for opens in ("(" * depth, "-" * depth, mixed):
+            text = opens + "x1" + ")" * opens.count("(")
+            if depth <= NESTING_CAP:
+                want = "-x1" if opens.count("-") % 2 else "x1"
+                assert parse_poly(text) == parse_poly(want)
+                continue
+            # the error sits at the '(' or '-' that passes the cap
+            with pytest.raises(ParseError, match=f"nesting cap of {NESTING_CAP}") as e:
+                parse_poly(text)
+            assert e.value.position == NESTING_CAP, text
+    # the cap bounds depth, not count: siblings do not add up
+    parse_poly(" + ".join(["(x1)"] * 200) + " - " + " - ".join(["-x2"] * 200))
 
 
 @pytest.mark.parametrize("text", ["x1^\u00b2", "x1^\u0663"])

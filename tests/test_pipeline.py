@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from cuspcount.cusp_pipeline import (
@@ -17,9 +19,9 @@ from cuspcount.errors import (
     PipelineError,
 )
 from cuspcount.exprparse import parse_poly
-from cuspcount.polyring import VARS_TX
+from cuspcount.polyring import VARS_TX, Poly
 
-from support import CRAFTED_FAMILIES, EX1, flip_t, swap_x
+from support import CRAFTED_FAMILIES, EX1, compose, flip_t, swap_x
 
 
 def p(text):
@@ -155,6 +157,24 @@ def test_degree_identities_under_coordinate_changes(family):
     assert run(swap_x(f2), swap_x(f1)).sigma == s
     # t -> -t exchanges the t > 0 and t < 0 halves
     assert run(flip_t(f1), flip_t(f2)).sigma == (s[2], s[3], s[0], s[1])
+
+
+@pytest.mark.parametrize("family", [EX1, *CRAFTED_FAMILIES])
+def test_sigma_invariant_under_orientation_preserving_changes(family):
+    f1, f2 = p(family[0]), p(family[1])
+    s = run(f1, f2).sigma
+    t, x1, x2 = (Poly.variable(v, VARS_TX) for v in VARS_TX)
+    # t -> c*t with c > 0 keeps each sign of t; x -> A*x with det A = +1
+    # keeps the source's orientation, so every cusp keeps its degree
+    changes = [
+        (2 * t, x1, x2),
+        (t * Fraction(1, 3), x1, x2),
+        (t, x1 + x2, x2),
+        (t, 2 * x1 + x2, x1 + x2),
+        (t, x2, -x1),
+    ]
+    for images in changes:
+        assert run(compose(f1, images), compose(f2, images)).sigma == s, images
 
 
 def test_symmetric_family_has_equal_sides():

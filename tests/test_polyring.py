@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -287,3 +289,13 @@ def test_immutability():
     q = p("x1")
     with pytest.raises(AttributeError):
         q.terms = {}
+
+
+def test_pickle_and_copy_round_trip():
+    rng = random.Random(12)
+    polys = [p("0"), p("1/2*x1 + t"), p("x1", VARS_X)]
+    polys += [random_poly(rng, VARS_TX, rational=True) for _ in range(20)]
+    for q in polys:
+        for r in (pickle.loads(pickle.dumps(q)), copy.copy(q), copy.deepcopy(q)):
+            assert r == q and hash(r) == hash(q)
+            assert (r.vars, r.terms, r.den) == (q.vars, q.terms, q.den)

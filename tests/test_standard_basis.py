@@ -6,7 +6,12 @@ from math import gcd
 import pytest
 
 from cuspcount.elk_degree import build_algebra, local_degree
-from cuspcount.errors import DimensionInfinite, ExponentOverflow, NotAlgebraicallyIsolated
+from cuspcount.errors import (
+    DimensionInfinite,
+    ExponentOverflow,
+    InternalInconsistency,
+    NotAlgebraicallyIsolated,
+)
 from cuspcount.exprparse import parse_poly
 from cuspcount.polyring import (
     FIELD_BITS,
@@ -27,6 +32,7 @@ from cuspcount.standard_basis import (
     _Elem,
     _hreduce,
     _lcm,
+    _primitive,
     _reducer_key,
     _staircase,
 )
@@ -245,8 +251,7 @@ def test_exponent_overflow_is_named_and_fast():
 def rational_hreduce(d_p, p_terms, basis):
     """Top-down reduction dividing by lead coefficients, on exponent tuples;
     basis holds (terms, degree) pairs and the reducer is chosen as in
-    _hreduce (shortest, then oldest); returned primitive with a positive
-    lead."""
+    _hreduce (shortest, then oldest)."""
     leads = [min(t, key=monomial_sort_key) for t, _ in basis]
     h = {m: Fraction(c) for m, c in p_terms.items()}
     out = {}
@@ -268,6 +273,11 @@ def rational_hreduce(d_p, p_terms, basis):
             h[mm] = h.get(mm, 0) - c / terms[lm] * cc
             if h[mm] == 0:
                 del h[mm]
+    return out
+
+
+def primitive_tuple_terms(out):
+    """Rational terms scaled to coprime integers with a positive lead."""
     if not out:
         return {}
     lead = out[min(out, key=monomial_sort_key)]
@@ -303,9 +313,15 @@ def test_fraction_free_reduction_matches_rational_reduction():
         d_p = max(map(sum, p_terms)) + rng.randint(0, 3)
         elems = [_Elem(_packed(t), d, idx, FIELD_BITS * nvars)
                  for idx, (t, d) in enumerate(basis)]
-        got = _hreduce(d_p, _packed(p_terms), elems, None, nvars)
-        got = {unpack_monomial(m, nvars): c for m, c in got.items()}
-        assert got == rational_hreduce(d_p, p_terms, basis), (basis, p_terms)
+        got, mult = _hreduce(d_p, _packed(p_terms), elems, None, nvars)
+        want = rational_hreduce(d_p, p_terms, basis)
+        # the multiplier undoes the fraction-free scaling exactly
+        assert {unpack_monomial(m, nvars): Fraction(c, mult)
+                for m, c in got.items()} == want, (basis, p_terms)
+        # and the completion's primitive remainder is the normalized one
+        assert {unpack_monomial(m, nvars): c
+                for m, c in _primitive(got).items()} \
+            == primitive_tuple_terms(want), (basis, p_terms)
         nonzero += bool(got)
     assert nonzero > 100
 
@@ -334,9 +350,20 @@ def _zero_dim_ideal(rng, vars):
     return gens
 
 
+def test_algebra_names_a_monomial_no_reducer_covers():
+    algebra = build_algebra([p("x1^2", VARS_X), p("x2^2", VARS_X)])
+    # without the reducer of x1^2, x1^2 is neither standard nor reducible
+    algebra._reducers = [r for r in algebra._reducers
+                         if r.lm != pack_monomial((2, 0))]
+    with pytest.raises(InternalInconsistency, match="neither standard"):
+        algebra.coords(p("x1^2 + x2", VARS_X))
+    with pytest.raises(InternalInconsistency, match="neither standard"):
+        algebra.socle_pairing()
+
+
 def test_membership_agrees_with_algebra_coordinates():
-    # contains() completes I + <q>; the coordinate sweep reduces q in the
-    # local algebra of I: q is a member exactly when its class is zero
+    # contains() completes I + <q>; coords reduces q in the local algebra
+    # of I: q is a member exactly when its class is zero
     rng = random.Random(36)
     verdicts = []
     tried = 0
