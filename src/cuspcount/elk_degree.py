@@ -51,8 +51,10 @@ def signature(matrix: Sequence[Sequence]) -> tuple[int, int, int]:
     nonzero, it pivots on p: one square of the sign of p.  Otherwise it
     pivots on the 2x2 block [[0, c], [c, a]] of k and its neighbour u with
     the fewest entries (c = a[k][u], a = a[u][u]), whose determinant -c^2
-    gives one positive and one negative square; the Schur complement is
-    A - (x y^T + y x^T)/c + (a/c^2) y y^T for x, y the rows of u and k.
+    gives one positive and one negative square.  Both pivots apply one
+    rank-2 update, the Schur complement A - (y z^T + z y^T) with y the row
+    of k: z = y/(2p) for the 1x1 pivot, and z = x/c - a/(2c^2) y for the
+    2x2 one, x the row of u.
 
     The rule suits residue pairings (a, b) -> phi(a*b) on a staircase basis.
     phi(m_i*m_j) = 0 whenever deg m_i + deg m_j >= N, so the monomials of
@@ -80,72 +82,49 @@ def signature(matrix: Sequence[Sequence]) -> tuple[int, int, int]:
         k = min(rows, key=lambda i: (len(rows[i]), i))
         rk = rows.pop(k)
         p = rk.pop(k, None)
-        if p is None:
+        for i in rk:
+            del rows[i][k]
+        if p is not None:
+            if p > 0:
+                pos += 1
+            else:
+                neg += 1
+            # y z^T + z y^T = y y^T/p
+            h = 2 * p
+            z = {j: v / h for j, v in rk.items()}
+        else:
             u = min(rk, key=lambda j: (len(rows[j]), j))
             ru = rows.pop(u)
             c = rk.pop(u)
-            del ru[k]
             a = ru.pop(u, 0)
             pos += 1
             neg += 1
-            for i in rk:
-                del rows[i][k]
             for i in ru:
                 del rows[i][u]
-            # a[i][j] -= y[i]*z[j] + z[i]*y[j], the Schur complement with
-            # z = x/c - a/(2c^2) y; y[j] = 0 off k's neighbours, and entries
-            # with y[i] = y[j] = 0 stay as they are
             z = {j: v / c for j, v in ru.items()}
             if a:
                 h = a / (2 * c * c)
                 for j, v in rk.items():
                     z[j] = z.get(j, 0) - h * v
-            ys = list(rk.items())
-            cols = ys + [(j, 0) for j in z if j not in rk]
-            for at, (i, yi) in enumerate(ys):
-                ri, zi = rows[i], z.get(i, 0)
-                for j, yj in cols[at:]:
-                    d = yi * z.get(j, 0) + zi * yj
-                    if not d:
-                        continue
-                    s = ri.get(j, 0) - d
-                    if s:
-                        ri[j] = rows[j][i] = s
-                    else:
-                        del ri[j]
-                        if j != i:
-                            del rows[j][i]
-            for i in rk.keys() | ru.keys():
-                if not rows[i]:
-                    del rows[i]
-            continue
-        if p > 0:
-            pos += 1
-        else:
-            neg += 1
-        # a[i][j] -= a[i][k]*a[k][j]/p on the pivot's neighbours, each pair
-        # once; on numerators and denominators, which makes one Fraction per
-        # entry instead of two
-        pn, pd = p.numerator, p.denominator
-        nbrs = [(i, a.numerator, a.denominator) for i, a in rk.items()]
-        for at, (i, an, ad) in enumerate(nbrs):
+        # a[i][j] -= y[i]*z[j] + z[i]*y[j] for y = rk: entries with
+        # y[i] = y[j] = 0 stay as they are
+        cols = [(j, v, z.get(j, 0)) for j, v in rk.items()]
+        cols += [(j, 0, v) for j, v in z.items() if j not in rk]
+        for at, (i, yi, zi) in enumerate(cols[:len(rk)]):
             ri = rows[i]
-            del ri[k]
-            fn, fd = an * pd, ad * pn  # a[i][k]/p
-            for j, bn, bd in nbrs[at:]:
-                v = ri.get(j)
-                if v is None:
-                    num, den = -fn * bn, fd * bd
+            for j, yj, zj in cols[at:]:
+                d = yi * zj + zi * yj
+                if not d:
+                    continue
+                s = ri.get(j, 0) - d
+                if s:
+                    ri[j] = rows[j][i] = s
                 else:
-                    vd = v.denominator
-                    num, den = v.numerator * fd * bd - fn * bn * vd, vd * fd * bd
-                if num:
-                    ri[j] = rows[j][i] = Fraction(num, den)
-                elif v is not None:
                     del ri[j]
                     if j != i:
                         del rows[j][i]
-            if not ri:
+        for i in rk.keys() | z.keys():
+            if not rows[i]:
                 del rows[i]
     return pos, neg, n - pos - neg
 

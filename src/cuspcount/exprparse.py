@@ -13,7 +13,9 @@ non-negative integers up to EXPONENT_CAP.  A rational literal takes no
 exponent: "2/3^2" is an error at the "^" (usual precedence reads it as 2/9,
 a grammar with "^" on the literal as 4/9), and "(2/3)^2" is the square.
 Integers take the ASCII digits 0-9 only (str.isdigit would also take
-superscripts).  Whitespace is ignored.
+superscripts), and no more of them than Python converts to an int (4300 by
+default where the interpreter limits it): a longer literal is an error at
+its first digit.  Whitespace is ignored.
 
 EXPONENT_CAP also bounds the degree of the parsed polynomial in each
 variable, so nested powers and products cannot get past it: "(x1^8)^8" is
@@ -70,6 +72,14 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             raise ParseError(f"unexpected character {ch!r}", i)
     tokens.append(("END", "", n))
     return tokens
+
+
+def _int(value: str, at: int) -> int:
+    """The value of the integer literal at position `at`."""
+    try:
+        return int(value)
+    except ValueError:  # over sys.get_int_max_str_digits()
+        raise ParseError("integer literal too long", at) from None
 
 
 def _degrees(p: Poly) -> list[int]:
@@ -167,7 +177,7 @@ class _Parser:
             if kind != "NUM":
                 raise ParseError("exponent must be a non-negative integer", at)
             self.advance()
-            e = int(value)
+            e = _int(value, at)
             if e > EXPONENT_CAP:
                 raise ParseError(f"exponent {e} exceeds the cap of {EXPONENT_CAP}", at)
             self.check_degrees([e * d for d in _degrees(base)], op_at)
@@ -186,7 +196,7 @@ class _Parser:
     def atom(self) -> Poly:
         kind, value, at = self.advance()
         if kind == "NUM":
-            num = int(value)
+            num = _int(value, at)
             kind2, value2, _ = self.peek()
             if kind2 == "OP" and value2 == "/":
                 self.advance()
@@ -194,7 +204,7 @@ class _Parser:
                 if kind3 != "NUM":
                     raise ParseError("denominator must be an integer literal", at3)
                 self.advance()
-                den = int(value3)
+                den = _int(value3, at3)
                 if den == 0:
                     raise ParseError("denominator must be nonzero", at3)
                 kind4, value4, at4 = self.peek()

@@ -274,42 +274,33 @@ def _staircase(
     """The packed monomials under the staircase of the packed leads,
     ascending, or None when there are infinitely many.
 
-    For each exponent prefix of all variables but the last, the monomials
-    under the staircase are the prefix with a last exponent below that of
-    every lead whose prefix divides it.
+    There are infinitely many exactly when there is no truncation degree
+    and some variable has no pure power among the leads.  Otherwise the
+    staircase, closed under division, is walked one degree at a time: at
+    degree d it keeps the monomials that no lead of degree <= d divides, and
+    the monomials one variable above those are the next degree's.
     """
     shift = FIELD_BITS * nvars
-    last = FIELD_BITS * (nvars - 1)  # the field of the last variable
-    bounds: list[int] = []
-    for v in range(nvars):
-        # the pure powers of variable v among the leads
-        cands = [
-            lm >> shift for lm in leads
-            if lm >> shift and (lm >> (FIELD_BITS * v)) & FIELD_MASK == lm >> shift
-        ]
-        if trunc is not None:
-            cands.append(trunc)
-        if not cands:
-            return None
-        bounds.append(min(cands))
-    # (packed prefix fields, their degree)
-    prefixes = [(0, 0)]
-    for v in range(nvars - 1):
-        prefixes = [
-            (k + (e << (FIELD_BITS * v)), s + e)
-            for k, s in prefixes for e in range(bounds[v])
-        ]
-    low, guards = (1 << last) - 1, guard_bits(nvars - 1)
+    if trunc is None and not all(
+        any(lm >> shift and (lm >> (FIELD_BITS * v)) & FIELD_MASK == lm >> shift
+            for lm in leads)
+        for v in range(nvars)
+    ):
+        return None
+    lim = (MAX_DEGREE + 1 if trunc is None else trunc) << shift
+    guards = guard_bits(nvars)
+    steps = [(1 << shift) + (1 << (FIELD_BITS * v)) for v in range(nvars)]
+    leads = sorted(leads)
     out: list[int] = []
-    for k, s in prefixes:
-        top = bounds[-1] if trunc is None else min(bounds[-1], trunc - s)
-        kg = k | guards
-        for lm in leads:
-            e = (lm >> last) & FIELD_MASK
-            if e < top and (kg - (lm & low)) & guards == guards:
-                top = e
-        out.extend(((s + e) << shift) + (e << last) + k for e in range(top))
-    out.sort()
+    level, d, seen = [0], 0, 0
+    while level:
+        while seen < len(leads) and leads[seen] >> shift <= d:
+            seen += 1
+        active = leads[:seen]  # the leads of degree <= d
+        kept = [m for m in level if not any(_divides(lm, m, guards) for lm in active)]
+        out.extend(kept)
+        level = sorted({m + s for m in kept for s in steps if m + s < lim})
+        d += 1
     return out
 
 

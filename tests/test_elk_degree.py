@@ -167,6 +167,9 @@ def test_signature_examples():
     assert signature([[2, 0, 0], [0, -3, 0], [0, 0, 5]]) == (2, 1, 0)
     assert signature([[0, 1], [1, 0]]) == (1, 1, 0)
     assert signature([[0, 0, 0]] * 3) == (0, 0, 3)
+    # int input is exact: in floats the Schur complement 10^40 + 1 - 10^40
+    # cancels to 0, which would read (1, 0, 1)
+    assert signature([[1, 10**20], [10**20, 10**40 + 1]]) == (2, 0, 0)
 
 
 def _zeros(n):

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -135,6 +136,20 @@ def test_only_ascii_digits(text):
     with pytest.raises(ParseError, match="unexpected character") as e:
         parse_poly(text)
     assert e.value.position == 3
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this Python converts integer strings of any length",
+)
+def test_integer_literal_past_the_int_conversion_limit():
+    digits = "7" * (sys.get_int_max_str_digits() + 1)
+    # as a numerator, a denominator and an exponent; the error sits at the
+    # literal, not in a bare ValueError
+    for text, at in ((digits + "*x1", 0), ("x2 + 1/" + digits, 7), ("x1^" + digits, 3)):
+        with pytest.raises(ParseError, match="integer literal too long") as e:
+            parse_poly(text)
+        assert e.value.position == at
 
 
 def test_adjacency_rejected():

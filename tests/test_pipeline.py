@@ -145,10 +145,24 @@ def test_t_reversal_swaps_sigma():
                              base.sigma[0], base.sigma[1])
 
 
-@pytest.mark.parametrize("family", [EX1, *CRAFTED_FAMILIES])
+# generated families with a nonzero sigma, pinned as text:
+# perfbench.workloads.screen_families(1) at 63 and 102, and
+# screen_families(2) at 10, 40, 78 and 108
+GENERATED_FAMILIES = [
+    ("-x1^3 - 3*t*x1*x2 - x1^2*x2 + 2*x2^3", "2*t - x2 + 2*x1^2*x2"),
+    ("-3*x1 + 3*t*x2 - 2*x2^2", "2*t^2 - 2*t*x1*x2 - x1^2*x2 + 3*x2^3"),
+    ("2*x1*x2 - t^3", "x1^2 - 2*t^2*x2 - 2*x2^3"),
+    ("-x1 - x1*x2 + 2*t^3", "-3*x1 - 3*x1^2*x2 + 2*t*x2^2 - 2*x2^3"),
+    ("-2*x1^2 - t*x2 - 2*x2^3", "-2*x1 + 3*x1*x2 - 3*x2^3"),
+    ("t - 3*x1*x2", "x2 + 3*x1^2 + 2*x1^2*x2 - 2*t*x2^2"),
+]
+
+
+@pytest.mark.parametrize("family", [EX1, *CRAFTED_FAMILIES, *GENERATED_FAMILIES])
 def test_degree_identities_under_coordinate_changes(family):
     f1, f2 = p(family[0]), p(family[1])
-    s = run(f1, f2).sigma
+    base = run(f1, f2)
+    s = base.sigma
     # swapping x1 and x2 reverses the source's orientation, swapping f1 and
     # f2 the target's: either alone exchanges the degree +1 and -1 counts
     exchanged = (s[1], s[0], s[3], s[2])
@@ -156,7 +170,11 @@ def test_degree_identities_under_coordinate_changes(family):
     assert run(f2, f1).sigma == exchanged
     assert run(swap_x(f2), swap_x(f1)).sigma == s
     # t -> -t exchanges the t > 0 and t < 0 halves
-    assert run(flip_t(f1), flip_t(f2)).sigma == (s[2], s[3], s[0], s[1])
+    flipped = run(flip_t(f1), flip_t(f2))
+    assert flipped.sigma == (s[2], s[3], s[0], s[1])
+    # b0' is twice the number of half-branches in t > 0, so with t -> -t it
+    # is twice the number in t < 0, and the two halves make up b0
+    assert base.b0_prime // 2 + flipped.b0_prime // 2 == base.b0
 
 
 @pytest.mark.parametrize("family", [EX1, *CRAFTED_FAMILIES])
