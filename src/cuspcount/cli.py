@@ -116,8 +116,19 @@ def render_text(report: BifurcationReport) -> str:
 
 def _parse_seed(text: str) -> int:
     """An int written with an optional sign and the ASCII digits 0-9; int()
-    alone also takes underscores and the digits of other scripts."""
-    value = int(text)
+    alone also takes underscores and the digits of other scripts.  Past
+    Python's digit limit int() points to sys.set_int_max_str_digits, which
+    the command line cannot call: the error names the limit instead."""
+    try:
+        value = int(text)
+    except ValueError:
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit or len(text) <= limit:
+            raise
+        raise ValueError(
+            f"seed of {len(text)} characters is longer than the {limit} "
+            "digits Python converts to an int"
+        ) from None
     if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", text):
         raise ValueError(
             f"seed {text!r} must be an optional sign and the ASCII digits 0-9"
@@ -129,26 +140,29 @@ def _read_input_file(path: str) -> dict:
     """The values of a key = value file: f1 and f2 parsed, seed as an int.
     Every error names the line it was found on."""
     values: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    # bytes.splitlines breaks on the \n, \r and \r\n that text mode reads as
+    # line ends, and decoding line by line lets a decode error name its line
+    for lineno, raw in enumerate(data.splitlines(), start=1):
+        try:
+            line = raw.decode("utf-8").split("#", 1)[0].strip()
             if not line:
                 continue
-            try:
-                if "=" not in line:
-                    raise ValueError("expected key=value")
-                key, _, value = line.partition("=")
-                key, value = key.strip(), value.strip()
-                if key not in _INPUT_KEYS:
-                    raise ValueError(
-                        f"unknown key {key!r}, expected one of "
-                        + ", ".join(_INPUT_KEYS)
-                    )
-                if key in values:
-                    raise ValueError(f"duplicate key {key!r}")
-                values[key] = _parse_seed(value) if key == "seed" else parse_poly(value)
-            except (ParseError, ValueError) as e:
-                raise ValueError(f"line {lineno}: {e}") from None
+            if "=" not in line:
+                raise ValueError("expected key=value")
+            key, _, value = line.partition("=")
+            key, value = key.strip(), value.strip()
+            if key not in _INPUT_KEYS:
+                raise ValueError(
+                    f"unknown key {key!r}, expected one of "
+                    + ", ".join(_INPUT_KEYS)
+                )
+            if key in values:
+                raise ValueError(f"duplicate key {key!r}")
+            values[key] = _parse_seed(value) if key == "seed" else parse_poly(value)
+        except (ParseError, ValueError) as e:
+            raise ValueError(f"line {lineno}: {e}") from None
     return values
 
 

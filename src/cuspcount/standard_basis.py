@@ -54,11 +54,12 @@ the quotient of the polynomials of degree < N by the span of the truncated
 multiples of the standard basis.  LocalAlgebra's exact, canonical
 coordinates on the staircase basis come from the completion's own reduction
 below degree N, and the dual functional of a staircase monomial from one
-bottom-up pass over the reducers; no normal-form units are involved.  Every
-monomial of degree N is zero in Q, so each staircase monomial of top degree
-is annihilated by the maximal ideal.  For a complete intersection the
-annihilator of the maximal ideal, the socle, is one-dimensional; the last
-staircase monomial is then the only one of top degree and spans it.
+bottom-up pass over the reducers, kept as its nonzero values; no
+normal-form units are involved.  Every monomial of degree N is zero in Q,
+so each staircase monomial of top degree is annihilated by the maximal
+ideal.  For a complete intersection the annihilator of the maximal ideal,
+the socle, is one-dimensional; the last staircase monomial is then the
+only one of top degree and spans it.
 """
 
 from __future__ import annotations
@@ -105,17 +106,6 @@ def _lcm(a: int, b: int, guards: int, shift: int) -> int:
     x = (a & take_a) | (b & ~take_a & ((1 << shift) - 1))
     deg = sum((x >> s) & FIELD_MASK for s in range(0, shift, FIELD_BITS))
     return (deg << shift) | x
-
-
-def _monomials(d: int, nvars: int) -> list[int]:
-    """The packed monomials of degree d in nvars variables, ascending."""
-    # (packed degree and exponents from the last variable down, degree left)
-    parts = [(d, d)]
-    for _ in range(nvars - 1):
-        parts = [
-            ((k << FIELD_BITS) + e, r - e) for k, r in parts for e in range(r + 1)
-        ]
-    return [(k << FIELD_BITS) + r for k, r in parts]
 
 
 def _primitive(terms: dict[int, int]) -> dict[int, int]:
@@ -438,13 +428,13 @@ def _complete(gens: list[dict[int, int]], nvars: int) -> _Core:
     if staircase is not None:
         # the truncation-degree monomials are members of the localized ideal;
         # materialize the ones no kept lead covers so the basis generates the
-        # full lead ideal on its own (they leave the staircase as it is)
-        leads = [e.lm for e in kept]
-        idx = len(elems)
-        for k in _monomials(trunc, nvars):
-            if not any(_divides(lm, k, guards) for lm in leads):
-                kept.append(_Elem({k: 1}, trunc, idx, shift))
-                idx += 1
+        # full lead ideal on its own (they leave the staircase as it is);
+        # they are the top level of the staircase walked one degree further
+        walk = _staircase([e.lm for e in kept], nvars, trunc + 1)
+        top = [k for k in walk if k >> shift == trunc]
+        kept += [
+            _Elem({k: 1}, trunc, len(elems) + i, shift) for i, k in enumerate(top)
+        ]
         staircase = tuple(staircase)
     kept.sort(key=_reducer_key)
     return _Core(kept, trunc, staircase)
@@ -540,7 +530,9 @@ class LocalAlgebra:
 
     The staircase basis and the truncation degree N are the ones the
     completion of the ideal hands over.  cobasis lists the staircase as
-    exponent tuples; functional_table is keyed by packed monomials.
+    exponent tuples; functional_table keeps a dual functional's nonzero
+    values only, keyed by packed monomials, and socle_pairing reads the
+    pairing off them.
     """
 
     def __init__(self, ideal: LocalIdeal):
@@ -570,32 +562,33 @@ class LocalAlgebra:
         )
 
     def functional_table(self, m_star: int) -> dict[int, Fraction]:
-        """Values of the dual functional of the packed staircase monomial
-        m_star on the classes of all monomials of degree < N, keyed by packed
-        monomial."""
+        """The nonzero values of the dual functional of the packed staircase
+        monomial m_star on the classes of the monomials of degree < N, keyed
+        by packed monomial: a monomial of degree < N that is not a key has
+        value 0."""
         if m_star not in self._index:
             raise ValueError(f"{m_star!r} is not a packed staircase monomial")
         index, reducers, cap = self._index, self._reducers, self._cap
         nvars, guards = len(self.vars), guard_bits(len(self.vars))
-        table = {m: Fraction(1 if m == m_star else 0) for m in self._staircase}
+        table = {m_star: Fraction(1)}
         # smallest first: m = -(1/lc) * (tail of its reducer shifted onto m),
         # and every term of that tail is smaller than m
-        for d in reversed(range(self._n)):
-            for m in reversed(_monomials(d, nvars)):
-                if m in index:
-                    continue
-                red = next((r for r in reducers if _divides(r.lm, m, guards)), None)
-                if red is None:
-                    raise self._unreduced(m)
-                w = m - red.lm
-                acc = Fraction(0)
-                for mono, c in red.tail:
-                    mm = mono + w
-                    if mm >= cap:
-                        break
-                    v = table[mm]
-                    if v:
-                        acc += c * v
+        for m in reversed(_staircase((), nvars, self._n)):
+            if m in index:
+                continue
+            red = next((r for r in reducers if _divides(r.lm, m, guards)), None)
+            if red is None:
+                raise self._unreduced(m)
+            w = m - red.lm
+            acc = 0
+            for mono, c in red.tail:
+                mm = mono + w
+                if mm >= cap:
+                    break
+                v = table.get(mm)
+                if v is not None:
+                    acc += c * v
+            if acc:
                 table[m] = -acc / red.lc
         return table
 
@@ -617,21 +610,11 @@ class LocalAlgebra:
             vec[i] = Fraction(c, den)
         return tuple(vec)
 
-    def socle_pairing(self) -> list[list[Fraction]]:
+    def socle_pairing(self) -> list[list[Fraction | int]]:
         """The pairing (a, b) -> phi(a*b) on the staircase basis as a square
         list of rows, for phi the dual functional of the last staircase
-        monomial, which spans the socle of a complete intersection."""
-        staircase, cap, dim = self._staircase, self._cap, self.dim
+        monomial, which spans the socle of a complete intersection.  A
+        product of degree >= N is no key of phi's table and reads 0."""
+        staircase = self._staircase
         table = self.functional_table(staircase[-1])
-        zero_row = [Fraction(0)] * dim
-        b = [zero_row[:] for _ in range(dim)]
-        for i, mi in enumerate(staircase):
-            for j in range(i, dim):
-                # the staircase ascends in degree: so do the products mi * mj
-                prod = mi + staircase[j]
-                if prod >= cap:
-                    break
-                v = table[prod]
-                if v:
-                    b[i][j] = b[j][i] = v
-        return b
+        return [[table.get(mi + mj, 0) for mj in staircase] for mi in staircase]

@@ -1,4 +1,5 @@
 import json
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -233,6 +234,42 @@ def test_seed_takes_an_optional_sign(tmp_path, capsys):
         capsys, "analyze", "--f1", EX1[0], "--f2", EX1[1], "--seed", "+4", "--json"
     )
     assert code == 0 and json.loads(out)["input"]["seed"] == 4
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this Python has no int-conversion digit limit",
+)
+def test_seed_past_the_int_digit_limit_is_a_plain_error(tmp_path, capsys):
+    limit = sys.get_int_max_str_digits()
+    seed = "9" * (limit + 1)
+    config = tmp_path / "family.txt"
+    config.write_text(f"f1 = {EX1[0]}\nf2 = {EX1[1]}\nseed = {seed}\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", "--input", str(config))
+    assert code == 1 and out == ""
+    assert err.startswith("error: line 3: seed ") and str(limit) in err
+    assert "set_int_max_str_digits" not in err
+    code, out, err = run_cli(
+        capsys, "analyze", "--f1", EX1[0], "--f2", EX1[1], "--seed", seed
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: seed ") and str(limit) in err
+    assert "set_int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize("data, lineno", [
+    (b"f1 = x1\nf2 = x2 \xff\n", 2),
+    # \r\n and \r end lines as they do in text mode
+    (b"f1 = x1\r\nf2 = x2\rseed = 3\xff\n", 3),
+])
+def test_input_file_line_that_is_not_utf8_names_its_line(
+    tmp_path, capsys, data, lineno
+):
+    config = tmp_path / "family.txt"
+    config.write_bytes(data)
+    code, out, err = run_cli(capsys, "analyze", "--input", str(config))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: line {lineno}: 'utf-8' codec can't decode byte 0xff")
 
 
 def test_json_roundtrip(ex1_report):

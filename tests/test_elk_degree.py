@@ -134,14 +134,23 @@ def test_algebra_mult_table_properties():
 
 def _assert_sweeps_are_dual(algebra):
     """coords (primal reduction) and functional_table (dual recursion) agree on
-    every monomial below the nilpotency degree."""
+    every monomial below the nilpotency degree, the tables hold only nonzero
+    values, and socle_pairing()[i][j] is the last coordinate of the product
+    of staircase monomials i and j."""
     n = algebra._n
     nv = len(algebra.vars)
     monos = [m for m in product(range(n), repeat=nv) if sum(m) < n]
     tables = [algebra.functional_table(pack_monomial(b)) for b in algebra.cobasis]
+    for table in tables:
+        assert all(table.values())
     for m in monos:
         vec = algebra.coords(_mono(m, algebra.vars))
-        assert vec == tuple(table[pack_monomial(m)] for table in tables), m
+        assert vec == tuple(table.get(pack_monomial(m), 0) for table in tables), m
+    pairing = algebra.socle_pairing()
+    for i, mi in enumerate(algebra.cobasis):
+        for j, mj in enumerate(algebra.cobasis):
+            prod = _mono(monomial_mul(mi, mj), algebra.vars)
+            assert pairing[i][j] == algebra.coords(prod)[-1], (mi, mj)
 
 
 def test_coords_dual_to_functional_tables_ex1():
@@ -478,7 +487,7 @@ def test_functional_choice_does_not_change_degree():
             row = []
             for c, mc in enumerate(algebra.cobasis):
                 prod = monomial_mul(mr, mc)
-                row.append(sign * table[pack_monomial(prod)] if sum(prod) < n_cap
+                row.append(sign * table.get(pack_monomial(prod), 0) if sum(prod) < n_cap
                            else Fraction(0))
             b.append(row)
         pos, neg, zero = signature(b)

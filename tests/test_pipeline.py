@@ -177,7 +177,7 @@ def test_degree_identities_under_coordinate_changes(family):
     assert base.b0_prime // 2 + flipped.b0_prime // 2 == base.b0
 
 
-@pytest.mark.parametrize("family", [EX1, *CRAFTED_FAMILIES])
+@pytest.mark.parametrize("family", [EX1, *CRAFTED_FAMILIES, *GENERATED_FAMILIES])
 def test_sigma_invariant_under_orientation_preserving_changes(family):
     f1, f2 = p(family[0]), p(family[1])
     s = run(f1, f2).sigma

@@ -441,6 +441,17 @@ def test_completion_hands_over_its_final_staircase():
         )), gens
         top = max((sum(m) for m in ideal.cobasis()), default=-1)
         assert LocalAlgebra(ideal)._n == trunc == 1 + top, gens
+        if ideal.quotient_dim():
+            # the leads of degree trunc are the monomials of that degree no
+            # lower lead divides
+            lower = [lm for lm in ideal.lead_monomials if sum(lm) < trunc]
+            uncovered = [
+                m for m in product(range(trunc + 1), repeat=len(vars))
+                if sum(m) == trunc
+                and not any(all(a <= b for a, b in zip(lm, m)) for lm in lower)
+            ]
+            assert sorted(lm for lm in ideal.lead_monomials
+                          if sum(lm) == trunc) == uncovered, gens
     assert kinds["finite"] >= 100 and kinds["infinite"] >= 20 and kinds["unit"] >= 40, kinds
 
 
