@@ -29,7 +29,6 @@ class DegreeCertificate:
     degree: int
     algebra_dim: int
     jacobian_class: tuple[Fraction, ...]
-    functional: tuple[Fraction, ...]
     signature_split: tuple[int, int]
 
 
@@ -138,7 +137,7 @@ def local_degree(germ: Sequence[Poly]) -> DegreeCertificate:
     """
     algebra = build_algebra(germ)
     if algebra.dim == 0:
-        return DegreeCertificate(0, 0, (), (), (0, 0))
+        return DegreeCertificate(0, 0, (), (0, 0))
 
     jclass = algebra.coords(jacobian_det(germ))
     c = jclass[-1]
@@ -154,5 +153,4 @@ def local_degree(germ: Sequence[Poly]) -> DegreeCertificate:
         )
     if c < 0:  # phi is minus the dual functional the pairing was built on
         pos, neg = neg, pos
-    functional = (Fraction(0),) * (algebra.dim - 1) + (Fraction(1 if c > 0 else -1),)
-    return DegreeCertificate(pos - neg, algebra.dim, jclass, functional, (pos, neg))
+    return DegreeCertificate(pos - neg, algebra.dim, jclass, (pos, neg))

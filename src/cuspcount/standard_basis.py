@@ -30,22 +30,30 @@ Four facts are exploited for speed, all exact:
 * Once the partial basis has a pure power of every variable among its lead
   monomials, every monomial of degree >= D := 1 + (max staircase degree)
   reduces to zero against it, hence lies in the localized ideal.  From then
-  on all polynomials are truncated below degree D; this caps degree and
-  coefficient growth and never changes the localized ideal.
+  on no term of degree >= D is computed: s-pairs whose lead lcm has degree
+  >= D are skipped, and tails, sorted ascending, are read only up to their
+  first term of degree >= D.  Elements keep the terms they were written
+  with: a term of degree >= D lies in the localized ideal and, shifted,
+  only ever makes terms of degree >= D, and an element whose lead has
+  degree >= D forms only skipped s-pairs and reduces no term below D.
+  This caps degree and coefficient growth and never changes the localized
+  ideal.
 * All basis elements are content-stripped integer polynomials, and
   reduction is fraction-free: it multiplies by a reducer's lead coefficient
   instead of dividing by it, so completion does no rational arithmetic.
-* The staircase, and with it the truncation degree, is recomputed only when
-  a new lead is divisible by no lead already in the basis; any other lead
+* The truncation degree is recomputed, from a staircase walk, only when a
+  new lead is divisible by no lead already in the basis; any other lead
   leaves the lead ideal as it was.
 * Every monomial is one int, packed as in Poly's terms, so heaps and sorted
   tails hold plain ints, divisibility is one subtraction and a mask test,
   and "degree < D" is the comparison m < D << shift.  A completion whose
   degrees would outgrow the exponent fields raises ExponentOverflow.
 
-The staircase of the last such recomputation is therefore the staircase of
-the finished basis, and the completion hands it over: quotient dimensions and
-the cobasis of a local algebra are read off it, never computed again.
+The completion ends with one staircase walk over the final minimal leads,
+one degree past D.  Its monomials below D are the staircase it hands over:
+quotient dimensions and the cobasis of a local algebra are read off it,
+never computed again.  Its monomials of degree D lie in the localized ideal
+and join the basis, so that the basis generates the full lead ideal.
 
 The local algebra Q of a zero-dimensional ideal is the quotient of the local
 ring by it.  Its maximal ideal is nilpotent: with N = 1 + (max staircase
@@ -122,10 +130,6 @@ def _primitive(terms: dict[int, int]) -> dict[int, int]:
     return {m: c // g for m, c in terms.items()}
 
 
-def _truncate(terms: dict[int, int], lim: int) -> dict[int, int]:
-    return {m: c for m, c in terms.items() if m < lim}
-
-
 # ---------------------------------------------------------------------------
 # homogeneous elements (the homogenizing exponent is implicit)
 # ---------------------------------------------------------------------------
@@ -190,8 +194,7 @@ def _hspoly(f: _Elem, g: _Elem, lcm: int, lim: int) -> dict[int, int]:
 
 
 def _hreduce(
-    d_p: int, p_terms: dict[int, int], basis: list[_Elem], trunc: int | None,
-    nvars: int,
+    d_p: int, p_terms: dict[int, int], basis: list[_Elem], lim: int, nvars: int
 ) -> tuple[dict[int, int], int]:
     """Full reduction of a homogeneous polynomial of degree d_p.
 
@@ -203,11 +206,11 @@ def _hreduce(
     coefficient, everything is multiplied by it instead, so coefficients
     stay integers.  Returns the reduced terms and that total multiplier, a
     nonzero int: the terms divided by it are the rational reduction.
-    Terms of degree trunc or more are dropped.
+    Terms at or past the packed bound lim are dropped: a reducer's tail,
+    sorted ascending and shifted, is read up to its first term past lim.
     """
     shift = FIELD_BITS * nvars
     guards = guard_bits(nvars)
-    lim = (MAX_DEGREE + 1 if trunc is None else trunc) << shift
     # r.a <= d_p - |m| is m < top
     reducers = [
         ((d_p - r.a + 1) << shift, r.lm, r)
@@ -316,62 +319,35 @@ def _complete(gens: list[dict[int, int]], nvars: int) -> _Core:
     shift = FIELD_BITS * nvars
     guards = guard_bits(nvars)
     elems: list[_Elem] = []
-    alive: list[bool] = []
     pairs: list[tuple[int, int, int, int]] = []
     done: set[tuple[int, int]] = set()
     trunc: int | None = None
     lim = (MAX_DEGREE + 1) << shift  # packed truncation bound
-    staircase: list[int] | None = None
     unit = _Core([_Elem({0: 1}, 0, 0, shift)], 0, ())
-
-    def refresh_truncation() -> None:
-        nonlocal trunc, lim, staircase
-        st = _staircase([e.lm for e, a in zip(elems, alive) if a], nvars, trunc)
-        if st is None:
-            return
-        # a later lead is divisible by an alive lead or refreshes again, and
-        # the leads truncation kills have degree >= trunc: the staircase of
-        # the last refresh is final
-        staircase = st
-        new_trunc = 1 + (st[-1] >> shift if st else 0)
-        if trunc is not None and new_trunc >= trunc:
-            return
-        # the basis gains monomials of degree trunc
-        check_degree(new_trunc)
-        trunc = new_trunc
-        lim = trunc << shift
-        for i, e in enumerate(elems):
-            if not alive[i]:
-                continue
-            cut = _truncate(e.terms(), lim)
-            if not cut:
-                alive[i] = False
-            elif len(cut) != e.size:
-                elems[i] = _Elem(_primitive(cut), e.d, e.idx, shift)
 
     def add(terms: dict[int, int], d: int) -> bool:
         """Returns True when the dehomogenized ideal is the whole local ring."""
-        terms = _primitive(_truncate(terms, lim))
-        if not terms:
+        nonlocal trunc, lim
+        if min(terms) >= lim:
             return False
-        e = _Elem(terms, d, len(elems), shift)
+        e = _Elem(_primitive(terms), d, len(elems), shift)
         if e.lm == 0:
             return True
         for j, other in enumerate(elems):
-            if not alive[j]:
-                continue
             lcm = _lcm(e.lm, other.lm, guards, shift)
             heapq.heappush(
                 pairs, (max(e.a, other.a) + (lcm >> shift), lcm, j, e.idx)
             )
-        # a lead divisible by an alive lead leaves the staircase as it is
-        moves_staircase = not any(
-            a and _divides(other.lm, e.lm, guards) for other, a in zip(elems, alive)
-        )
+        # a lead divisible by a lead in the basis leaves the staircase as it is
+        moves_staircase = not any(_divides(other.lm, e.lm, guards) for other in elems)
         elems.append(e)
-        alive.append(True)
         if moves_staircase:
-            refresh_truncation()
+            st = _staircase([other.lm for other in elems], nvars, trunc)
+            if st is not None:
+                trunc = 1 + (st[-1] >> shift)
+                # the basis gains monomials of degree trunc
+                check_degree(trunc)
+                lim = trunc << shift
         return False
 
     for g in gens:
@@ -381,11 +357,10 @@ def _complete(gens: list[dict[int, int]], nvars: int) -> _Core:
     while pairs:
         d_sp, lcm, i, j = heapq.heappop(pairs)
         done.add((i, j))
-        if not (alive[i] and alive[j]):
-            continue
-        ei, ej = elems[i], elems[j]
+        # a lead at or past lim puts the pair's lcm there too
         if trunc is not None and lcm >= lim:
             continue
+        ei, ej = elems[i], elems[j]
         # product criterion: coprime x-leads and one lead free of the
         # homogenizer make the s-polynomial reduce to zero
         if min(ei.a, ej.a) == 0 and lcm == ei.lm + ej.lm:
@@ -394,7 +369,7 @@ def _complete(gens: list[dict[int, int]], nvars: int) -> _Core:
         skip = False
         lcm_a = max(ei.a, ej.a)
         for k, ek in enumerate(elems):
-            if k == i or k == j or not alive[k]:
+            if k == i or k == j:
                 continue
             if (ek.a <= lcm_a and _divides(ek.lm, lcm, guards)
                     and (min(i, k), max(i, k)) in done
@@ -407,16 +382,15 @@ def _complete(gens: list[dict[int, int]], nvars: int) -> _Core:
         sp = _hspoly(ei, ej, lcm, lim)
         if not sp:
             continue
-        reducers = [e for e, a in zip(elems, alive) if a]
-        nf, _ = _hreduce(d_sp, sp, reducers, trunc, nvars)
+        nf, _ = _hreduce(d_sp, sp, elems, lim, nvars)
         if not nf:
             continue
         # add() makes the remainder primitive
         if add(nf, d_sp):
             return unit
 
-    # keep only elements with minimal lead monomials
-    final = [e for e, a in zip(elems, alive) if a]
+    # keep only elements with minimal lead monomials below the bound
+    final = [e for e in elems if e.lm < lim]
     kept: list[_Elem] = []
     for e in final:
         if not any(
@@ -425,17 +399,18 @@ def _complete(gens: list[dict[int, int]], nvars: int) -> _Core:
             for other in final
         ):
             kept.append(e)
-    if staircase is not None:
-        # the truncation-degree monomials are members of the localized ideal;
-        # materialize the ones no kept lead covers so the basis generates the
-        # full lead ideal on its own (they leave the staircase as it is);
-        # they are the top level of the staircase walked one degree further
+    staircase = None
+    if trunc is not None:
+        # one walk one degree past the bound: below it lies the staircase,
+        # at it the monomials of degree trunc no kept lead divides; those
+        # are members of the localized ideal and are materialized so the
+        # basis generates the full lead ideal on its own
         walk = _staircase([e.lm for e in kept], nvars, trunc + 1)
-        top = [k for k in walk if k >> shift == trunc]
+        staircase = tuple(m for m in walk if m < lim)
         kept += [
-            _Elem({k: 1}, trunc, len(elems) + i, shift) for i, k in enumerate(top)
+            _Elem({k: 1}, trunc, len(elems) + i, shift)
+            for i, k in enumerate(walk[len(staircase):])
         ]
-        staircase = tuple(staircase)
     kept.sort(key=_reducer_key)
     return _Core(kept, trunc, staircase)
 
@@ -476,6 +451,9 @@ class LocalIdeal:
 
     @property
     def std_basis(self) -> tuple[Poly, ...]:
+        """The minimal standard basis, in reducer order.  Its elements may
+        carry terms of degree >= truncation_degree: the completion keeps
+        elements as written, and those terms lie in the ideal anyway."""
         return tuple(
             Poly._packed(self.vars, e.terms()) for e in self._ensure_core().reducers
         )
@@ -599,7 +577,7 @@ class LocalAlgebra:
         if p.vars != self.vars:
             raise ValueError("ambient mismatch")
         out, mult = _hreduce(
-            self._hdeg, p.terms, self._reducers, self._n, len(self.vars)
+            self._hdeg, p.terms, self._reducers, self._cap, len(self.vars)
         )
         vec = [Fraction(0)] * self.dim
         den = mult * p.den

@@ -434,7 +434,7 @@ def test_degree_gradient_with_empty_negative_side():
 
 def test_degree_unit_component_is_zero():
     cert = local_degree([p3("1 + 2*t"), p3("x1"), p3("x2")])
-    assert cert == DegreeCertificate(0, 0, (), (), (0, 0))
+    assert cert == DegreeCertificate(0, 0, (), (0, 0))
 
 
 def test_even_multiplicity_degree_zero():
@@ -467,8 +467,7 @@ def test_certificate_invariants():
         assert pos + neg == cert.algebra_dim
         assert abs(cert.degree) <= cert.algebra_dim
         assert cert.degree % 2 == cert.algebra_dim % 2
-        phi_j = sum(f * c for f, c in zip(cert.functional, cert.jacobian_class))
-        assert phi_j > 0
+        assert cert.jacobian_class[-1] != 0
 
 
 def test_functional_choice_does_not_change_degree():

@@ -313,7 +313,8 @@ def test_fraction_free_reduction_matches_rational_reduction():
         d_p = max(map(sum, p_terms)) + rng.randint(0, 3)
         elems = [_Elem(_packed(t), d, idx, FIELD_BITS * nvars)
                  for idx, (t, d) in enumerate(basis)]
-        got, mult = _hreduce(d_p, _packed(p_terms), elems, None, nvars)
+        unbounded = (MAX_DEGREE + 1) << (FIELD_BITS * nvars)
+        got, mult = _hreduce(d_p, _packed(p_terms), elems, unbounded, nvars)
         want = rational_hreduce(d_p, p_terms, basis)
         # the multiplier undoes the fraction-free scaling exactly
         assert {unpack_monomial(m, nvars): Fraction(c, mult)
@@ -409,22 +410,30 @@ def test_membership_infinite_codimension():
     assert flips >= 15
 
 
+def _mixed_ideal(rng, k):
+    """The k-th of a cycle of ideals in VARS_X and VARS_TX: finite
+    codimension for k % 4 < 2, else random generators through the origin,
+    made a unit ideal for k % 4 == 3."""
+    vars = (VARS_X, VARS_TX)[k % 2]
+    if k % 4 < 2:
+        return _zero_dim_ideal(rng, vars)
+    gens = [random_origin_poly(rng, vars, max_deg=3, n_terms=3)
+            for _ in range(rng.randint(1, 3))]
+    if k % 4 == 3:
+        gens[0] = gens[0] + Poly.constant(rng.choice((-2, -1, 1, 3)), vars)
+    return gens
+
+
 def test_completion_hands_over_its_final_staircase():
-    # the cobasis is the staircase the completion kept from its last
-    # truncation refresh; it must be the staircase of the finished lead
-    # ideal, and the algebra's truncation degree must be the completion's;
-    # the basis is handed over in the one reducer order
+    # the cobasis is the staircase of the completion's final walk over its
+    # minimal leads; it must be the staircase of the finished lead ideal,
+    # and the algebra's truncation degree must be the completion's; the
+    # basis is handed over in the one reducer order
     rng = random.Random(38)
     kinds = {"finite": 0, "infinite": 0, "unit": 0}
     for k in range(240):
-        vars = (VARS_X, VARS_TX)[k % 2]
-        if k % 4 < 2:
-            gens = _zero_dim_ideal(rng, vars)
-        else:
-            gens = [random_origin_poly(rng, vars, max_deg=3, n_terms=3)
-                    for _ in range(rng.randint(1, 3))]
-            if k % 4 == 3:
-                gens[0] = gens[0] + Poly.constant(rng.choice((-2, -1, 1, 3)), vars)
+        gens = _mixed_ideal(rng, k)
+        vars = gens[0].vars
         ideal = LocalIdeal(gens)
         reducers = ideal._ensure_core().reducers
         assert reducers == sorted(reducers, key=_reducer_key), gens
@@ -453,6 +462,47 @@ def test_completion_hands_over_its_final_staircase():
             assert sorted(lm for lm in ideal.lead_monomials
                           if sum(lm) == trunc) == uncovered, gens
     assert kinds["finite"] >= 100 and kinds["infinite"] >= 20 and kinds["unit"] >= 40, kinds
+
+
+def test_basis_kept_as_written_generates_the_ideal():
+    # basis elements keep the terms they had when they were added, even
+    # those past a truncation degree found later: the basis must still
+    # generate the ideal and give the same leads
+    rng = random.Random(39)
+    kinds = {"finite": 0, "infinite": 0, "unit": 0}
+    past_trunc = 0
+    for k in range(80):
+        gens = _mixed_ideal(rng, k)
+        ideal = LocalIdeal(gens)
+        basis = ideal.std_basis
+        again = LocalIdeal(basis)
+        assert sorted(again.lead_monomials) == sorted(ideal.lead_monomials), gens
+        assert again.quotient_dim() == ideal.quotient_dim(), gens
+        assert all(ideal.contains(e) for e in basis), gens
+        assert all(again.contains(g) for g in gens), gens
+        dim = ideal.quotient_dim()
+        kinds["infinite" if dim == INFINITE else "unit" if dim == 0 else "finite"] += 1
+        if dim == INFINITE or dim == 0:
+            continue
+        trunc = ideal.truncation_degree
+        assert all(sum(lm) <= trunc for lm in ideal.lead_monomials), gens
+        for e in basis:
+            # led below trunc, with a tail term at or past it
+            (lead, _), *tail = e.sorted_terms()
+            past_trunc += sum(lead) < trunc <= max((sum(m) for m, _ in tail), default=-1)
+    assert kinds["finite"] >= 30 and kinds["infinite"] >= 10 and kinds["unit"] >= 10, kinds
+    # elements written before the final truncation degree was found
+    assert past_trunc >= 5
+
+
+def test_generator_past_the_truncation_degree_is_dropped():
+    # x1^2 and x2^2 give truncation degree 3, and every term of the third
+    # generator has degree 4
+    ideal = LocalIdeal([p("x1^2", VARS_X), p("x2^2", VARS_X),
+                        p("x1^3*x2 + x1^4", VARS_X)])
+    assert ideal.quotient_dim() == 4
+    assert ideal.truncation_degree == 3
+    assert {(3, 1), (4, 0)}.isdisjoint(ideal.lead_monomials)
 
 
 def test_membership_is_class_invariant():
