@@ -12,6 +12,7 @@ each other (the pipeline stage is named on stderr).
 from __future__ import annotations
 
 import argparse
+import codecs
 import json
 import re
 import sys
@@ -141,7 +142,8 @@ def _read_input_file(path: str) -> dict:
     Every error names the line it was found on."""
     values: dict = {}
     with open(path, "rb") as fh:
-        data = fh.read()
+        # a leading byte-order mark is no part of the first key
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
     # bytes.splitlines breaks on the \n, \r and \r\n that text mode reads as
     # line ends, and decoding line by line lets a decode error name its line
     for lineno, raw in enumerate(data.splitlines(), start=1):

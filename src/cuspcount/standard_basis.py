@@ -41,6 +41,8 @@ Four facts are exploited for speed, all exact:
 * All basis elements are content-stripped integer polynomials, and
   reduction is fraction-free: it multiplies by a reducer's lead coefficient
   instead of dividing by it, so completion does no rational arithmetic.
+  Every reduction uses the oldest element whose lead divides the term,
+  because the oldest elements carry the smallest coefficients.
 * The truncation degree is recomputed, from a staircase walk, only when a
   new lead is divisible by no lead already in the basis; any other lead
   leaves the lead ideal as it was.
@@ -144,28 +146,20 @@ class _Elem:
     tail is sorted ascending.
     """
 
-    __slots__ = ("d", "lm", "lc", "a", "tail", "size", "idx")
+    __slots__ = ("lm", "lc", "a", "tail", "idx")
 
     def __init__(self, terms: dict[int, int], d: int, idx: int, shift: int):
         lm = min(terms)
-        self.d = d
         self.lm = lm
         self.lc = terms[lm]
         self.a = d - (lm >> shift)  # homogenizer exponent of the lead
         self.tail = tuple(sorted((m, c) for m, c in terms.items() if m != lm))
-        self.size = 1 + len(self.tail)
         self.idx = idx
 
     def terms(self) -> dict[int, int]:
         out = {self.lm: self.lc}
         out.update(self.tail)
         return out
-
-
-def _reducer_key(r: _Elem) -> tuple[int, int]:
-    """The reducer rule: of the elements whose lead divides a term, the
-    shortest reduces it, then the oldest."""
-    return (r.size, r.idx)
 
 
 def _hspoly(f: _Elem, g: _Elem, lcm: int, lim: int) -> dict[int, int]:
@@ -200,8 +194,9 @@ def _hreduce(
 
     A term x^m (implicit homogenizer exponent d_p - |m|) is reducible by r
     when r's lead x-part divides m and r's lead homogenizer exponent fits,
-    i.e. r.a <= d_p - |m|; among those, the first in _reducer_key order is
-    used.  The order is global, so plain top-down reduction terminates.
+    i.e. r.a <= d_p - |m|; among those, the oldest is used: the first in
+    basis, which lists elements in the order the completion wrote them.
+    The order is global, so plain top-down reduction terminates.
     The reduction is fraction-free: where a step would divide by r's lead
     coefficient, everything is multiplied by it instead, so coefficients
     stay integers.  Returns the reduced terms and that total multiplier, a
@@ -212,10 +207,7 @@ def _hreduce(
     shift = FIELD_BITS * nvars
     guards = guard_bits(nvars)
     # r.a <= d_p - |m| is m < top
-    reducers = [
-        ((d_p - r.a + 1) << shift, r.lm, r)
-        for r in sorted(basis, key=_reducer_key)
-    ]
+    reducers = [((d_p - r.a + 1) << shift, r.lm, r) for r in basis]
     h = {m: c for m, c in p_terms.items() if m < lim}
     heap = list(h)
     heapq.heapify(heap)
@@ -305,9 +297,12 @@ def _staircase(
 class _Core(NamedTuple):
     """Result of a completed standard-basis computation.
 
-    reducers is the minimal basis in _reducer_key order.  staircase holds
-    packed monomials in ascending order (largest monomial first); it is None
-    when the quotient is infinite-dimensional and () for the unit ideal.
+    reducers is the minimal basis, oldest first: the completion's elements
+    in the order it wrote them, then the materialized monomials of degree
+    trunc, so every reduction that takes the first fitting reducer takes
+    the oldest.  staircase holds packed monomials in ascending order
+    (largest monomial first); it is None when the quotient is
+    infinite-dimensional and () for the unit ideal.
     """
 
     reducers: list[_Elem]
@@ -411,7 +406,6 @@ def _complete(gens: list[dict[int, int]], nvars: int) -> _Core:
             _Elem({k: 1}, trunc, len(elems) + i, shift)
             for i, k in enumerate(walk[len(staircase):])
         ]
-    kept.sort(key=_reducer_key)
     return _Core(kept, trunc, staircase)
 
 
@@ -451,9 +445,10 @@ class LocalIdeal:
 
     @property
     def std_basis(self) -> tuple[Poly, ...]:
-        """The minimal standard basis, in reducer order.  Its elements may
-        carry terms of degree >= truncation_degree: the completion keeps
-        elements as written, and those terms lie in the ideal anyway."""
+        """The minimal standard basis, in the order the completion wrote
+        its elements.  They may carry terms of degree >= truncation_degree:
+        the completion keeps elements as written, and those terms lie in
+        the ideal anyway."""
         return tuple(
             Poly._packed(self.vars, e.terms()) for e in self._ensure_core().reducers
         )

@@ -272,6 +272,14 @@ def test_input_file_line_that_is_not_utf8_names_its_line(
     assert err.startswith(f"error: line {lineno}: 'utf-8' codec can't decode byte 0xff")
 
 
+def test_input_file_with_a_byte_order_mark(tmp_path, capsys):
+    config = tmp_path / "family.txt"
+    config.write_bytes(b"\xef\xbb\xbff1 = x1^3 + x2^2 + t*x1\nf2 = x1*x2\n")
+    code, out, _ = run_cli(capsys, "analyze", "--input", str(config))
+    assert code == 0
+    assert out == (GOLDEN / "ex1.txt").read_bytes().decode("utf-8")
+
+
 def test_json_roundtrip(ex1_report):
     doc = json.loads(render_json(ex1_report))
     assert doc == report_to_dict(ex1_report)

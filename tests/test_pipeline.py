@@ -146,8 +146,9 @@ def test_t_reversal_swaps_sigma():
 
 
 # generated families with a nonzero sigma, pinned as text:
-# perfbench.workloads.screen_families(1) at 63 and 102, and
-# screen_families(2) at 10, 40, 78 and 108
+# perfbench.workloads.screen_families(1) at 63 and 102,
+# screen_families(2) at 10, 40, 78 and 108, and screen_families(1) at 98,
+# whose completion stalled while reductions took the shortest reducer
 GENERATED_FAMILIES = [
     ("-x1^3 - 3*t*x1*x2 - x1^2*x2 + 2*x2^3", "2*t - x2 + 2*x1^2*x2"),
     ("-3*x1 + 3*t*x2 - 2*x2^2", "2*t^2 - 2*t*x1*x2 - x1^2*x2 + 3*x2^3"),
@@ -155,6 +156,7 @@ GENERATED_FAMILIES = [
     ("-x1 - x1*x2 + 2*t^3", "-3*x1 - 3*x1^2*x2 + 2*t*x2^2 - 2*x2^3"),
     ("-2*x1^2 - t*x2 - 2*x2^3", "-2*x1 + 3*x1*x2 - 3*x2^3"),
     ("t - 3*x1*x2", "x2 + 3*x1^2 + 2*x1^2*x2 - 2*t*x2^2"),
+    ("3*t - t*x1 - x1*x2 - 3*x1^3", "-3*t*x1 + x1^2 + 2*x1^2*x2 + 3*x2^3"),
 ]
 
 

@@ -36,3 +36,31 @@ def test_every_private_helper_is_used_by_the_package():
             ):
                 unused.append(f"{module}: {name}")
     assert not unused, f"private names no code in the package uses: {unused}"
+
+
+def _slot_names(tree):
+    """(class name, slot) for each string in a class's __slots__."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for stmt in node.body:
+            if isinstance(stmt, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__" for t in stmt.targets
+            ):
+                value = stmt.value
+                items = value.elts if isinstance(value, (ast.Tuple, ast.List)) else [value]
+                for item in items:
+                    if isinstance(item, ast.Constant) and isinstance(item.value, str):
+                        yield node.name, item.value
+
+
+def test_every_slot_is_read_by_the_package():
+    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))]
+    read = {
+        node.attr for tree in trees for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    slots = [(cls, name) for tree in trees for cls, name in _slot_names(tree)]
+    assert ("_Elem", "lm") in slots
+    unread = [f"{cls}.{name}" for cls, name in slots if name not in read]
+    assert not unread, f"slots no code in the package reads: {unread}"
