@@ -36,7 +36,6 @@ from .polyring import (
     jacobian2,
     jacobian_det,
     partial,
-    set_t_zero,
     substitute_t_squared,
 )
 from .standard_basis import INFINITE, LocalIdeal
@@ -73,7 +72,6 @@ __all__ = [
     "parse_poly",
     "partial",
     "run",
-    "set_t_zero",
     "signature",
     "solve_sigma",
     "substitute_t_squared",

@@ -34,7 +34,9 @@ inside rational literals such as 3/4, which take no exponent ("(2/3)^2", not
 "2/3^2"); exponents are integers in [0, {EXPONENT_CAP}], and so is the degree
 of every expression in each variable; parentheses and unary minus signs nest
 at most {NESTING_CAP} deep, counted together; integer literals take no more
-digits than Python converts to an int (4300 by default).
+digits than Python converts to an int (4300 by default), and nor does the
+numerator or denominator of any coefficient of a product, a power or the
+whole expression.
 """
 
 JSON_SCHEMA_VERSION = 1

@@ -3,7 +3,8 @@
 Given f = (f1, f2) in variables (t, x1, x2) with f(0) = 0, the pipeline
 
   1. derives J = d(f1,f2)/d(x1,x2), F_i = d(f_i,J)/d(x1,x2) and the germs
-     f0, d0 = grad_x J|_{t=0}, d1 = (J_t, J_x1, J_x2), d2 = (J, J_x1, J_x2);
+     f0 = (t, f1, f2), d0 = (t, J_x1, J_x2), d1 = (J_t, J_x1, J_x2) and
+     d2 = (J, J_x1, J_x2); (t, g) has the local degree of g(0, .);
   2. certifies every required finiteness hypothesis by quotient dimensions
      (algebraic isolation: finite codimension of the complexified zero);
   3. computes the local degrees of f0, d0, d1, d2;
@@ -45,7 +46,7 @@ from .errors import (
     ParityViolation,
     PipelineError,
 )
-from .polyring import Poly, VARS_TX, jacobian2, partial, set_t_zero
+from .polyring import Poly, VARS_TX, jacobian2, partial
 from .standard_basis import INFINITE, LocalIdeal
 
 
@@ -53,8 +54,8 @@ from .standard_basis import INFINITE, LocalIdeal
 class DerivedGerms:
     """Everything derived from the input family before degree computations.
 
-    The germs f0, d0, d1 and d2 are tuples of their component polynomials:
-    f0 and d0 in (x1, x2), d1 and d2 in (t, x1, x2).
+    The germs f0, d0, d1 and d2 are tuples of their component polynomials,
+    all in (t, x1, x2); f0 and d0 stand for f and grad_x J at t = 0.
     """
 
     f1: Poly
@@ -62,8 +63,8 @@ class DerivedGerms:
     J: Poly
     F1: Poly
     F2: Poly
-    f0: tuple[Poly, Poly]
-    d0: tuple[Poly, Poly]
+    f0: tuple[Poly, Poly, Poly]
+    d0: tuple[Poly, Poly, Poly]
     d1: tuple[Poly, Poly, Poly]
     d2: tuple[Poly, Poly, Poly]
 
@@ -130,10 +131,11 @@ def derive(f1: Poly, f2: Poly) -> DerivedGerms:
     F1 = jacobian2(f1, J, 1, 2)
     F2 = jacobian2(f2, J, 1, 2)
     Jt, Jx1, Jx2 = partial(J, 0), partial(J, 1), partial(J, 2)
-    f0 = (set_t_zero(f1), set_t_zero(f2))
+    t = Poly.variable("t", VARS_TX)
+    f0 = (t, f1, f2)
     # partials of J need not vanish at the origin; an empty zero set near the
     # origin is legitimate for the d-germs and yields degree 0
-    d0 = (set_t_zero(Jx1), set_t_zero(Jx2))
+    d0 = (t, Jx1, Jx2)
     d1 = (Jt, Jx1, Jx2)
     d2 = (J, Jx1, Jx2)
     return DerivedGerms(f1, f2, J, F1, F2, f0, d0, d1, d2)
@@ -148,9 +150,9 @@ def verify_hypotheses(d: DerivedGerms) -> HypothesisReport:
     """
     t = Poly.variable("t", VARS_TX)
     checks = [
-        ("dim O/<t,f1,f2>", LocalIdeal([t, d.f1, d.f2])),
+        ("dim O/<t,f1,f2>", LocalIdeal(d.f0)),
         ("dim O/<t,F1,F2>", LocalIdeal([t, d.F1, d.F2])),
-        ("dim O/<t,dJ/dx1,dJ/dx2>", LocalIdeal([t, *d.d2[1:]])),
+        ("dim O/<t,dJ/dx1,dJ/dx2>", LocalIdeal(d.d0)),
         ("dim O/I'", LocalIdeal([
             d.J, d.F1, d.F2,
             jacobian2(d.F1, d.J, 1, 2),

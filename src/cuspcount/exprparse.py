@@ -15,7 +15,11 @@ a grammar with "^" on the literal as 4/9), and "(2/3)^2" is the square.
 Integers take the ASCII digits 0-9 only (str.isdigit would also take
 superscripts), and no more of them than Python converts to an int (4300 by
 default where the interpreter limits it): a longer literal is an error at
-its first digit.  Whitespace is ignored.
+its first digit.  The same limit bounds the numerator and denominator of
+every coefficient: the "*" or "^" whose result first has a longer one is an
+error, and so is a whole expression whose sum has one (at position 0).  So
+every factor stays under the limit, and the parsed polynomial prints.
+Whitespace is ignored.
 
 EXPONENT_CAP also bounds the degree of the parsed polynomial in each
 variable, so nested powers and products cannot get past it: "(x1^8)^8" is
@@ -31,6 +35,7 @@ interpreter's stack: the "(" or "-" that would pass it is rejected.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Sequence
 
@@ -94,6 +99,8 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0  # open parentheses and unary minus signs
+        self.digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        self.bound = 10**self.digits  # the least int with more digits
 
     def peek(self):
         return self.tokens[self.pos]
@@ -118,7 +125,7 @@ class _Parser:
                     "adjacent factors need an explicit '*'", at
                 )
             raise ParseError(f"unexpected {value!r}", at)
-        return poly
+        return self.check_coefficients(poly, 0)
 
     def expr(self) -> Poly:
         acc = self.term()
@@ -141,7 +148,7 @@ class _Parser:
                 self.check_degrees(
                     [a + b for a, b in zip(_degrees(acc), _degrees(rhs))], at
                 )
-                acc = acc * rhs
+                acc = self.check_coefficients(acc * rhs, at)
             elif kind in ("NAME", "NUM") or (kind == "OP" and value == "("):
                 raise ParseError("adjacent factors need an explicit '*'", at)
             else:
@@ -181,7 +188,7 @@ class _Parser:
             if e > EXPONENT_CAP:
                 raise ParseError(f"exponent {e} exceeds the cap of {EXPONENT_CAP}", at)
             self.check_degrees([e * d for d in _degrees(base)], op_at)
-            return base**e
+            return self.check_coefficients(base**e, op_at)
         return base
 
     def check_degrees(self, degrees: list[int], at: int) -> None:
@@ -192,6 +199,21 @@ class _Parser:
                 raise ParseError(
                     f"degree {d} in {v} exceeds the cap of {EXPONENT_CAP}", at
                 )
+
+    def check_coefficients(self, p: Poly, at: int) -> Poly:
+        """p, the result of the operator at `at`, unless a coefficient of p
+        has a numerator or denominator with more digits than Python converts
+        to a string: the operator is then rejected."""
+        bound = self.bound
+        # p's ints bound its reduced coefficients: only past them are those read
+        if self.digits and max([p.den, *map(abs, p.terms.values())]) >= bound:
+            for _, c in p.sorted_terms():
+                if max(abs(c.numerator), c.denominator) >= bound:
+                    raise ParseError(
+                        f"a coefficient has more than {self.digits} digits, the "
+                        "most Python converts to a string", at
+                    )
+        return p
 
     def atom(self) -> Poly:
         kind, value, at = self.advance()

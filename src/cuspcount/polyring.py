@@ -2,9 +2,8 @@
 
 A polynomial is a sparse map from packed monomials (pack_monomial) to int
 numerators over one positive int denominator.  Every operation is exact;
-nothing is ever rounded.  The two ambients that matter downstream are
-``("t", "x1", "x2")`` for the family and ``("x1", "x2")`` for its
-restriction to t = 0, but the arithmetic is generic in the variable tuple.
+nothing is ever rounded.  Every germ of the analysis lives in
+``("t", "x1", "x2")``, but the arithmetic is generic in the variable tuple.
 
 The term order used for serialization (and everywhere else in the package)
 is the anti-degree reverse-lexicographic local order: lower total degree
@@ -215,12 +214,12 @@ class Poly:
     def __pow__(self, n: int) -> "Poly":
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result, base = Poly.constant(1, self.vars), self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
+        # one check up front; then n products, none larger than the result
+        shift = FIELD_BITS * len(self.vars)
+        check_degree(n * max(max(self.terms, default=0) >> shift, 1))
+        result = Poly.constant(1, self.vars)
+        for _ in range(n):
+            result = result * self
         return result
 
     # -- comparisons, hashing, display --------------------------------------
@@ -304,26 +303,13 @@ def jacobian_det(components: Sequence[Poly]) -> Poly:
     return det([[partial(c, j) for j in range(n)] for c in components])
 
 
-def _require_t_first(p: Poly):
-    if not p.vars or p.vars[0] != "t":
-        raise ValueError(f"operation needs ambient starting with 't', got {p.vars}")
-
-
 def substitute_t_squared(p: Poly) -> Poly:
     """Replace t by t^2: t-exponents double, others unchanged."""
-    _require_t_first(p)
+    if p.vars[:1] != ("t",):
+        raise ValueError(f"t -> t^2 needs an ambient starting with 't', got {p.vars}")
     shift = FIELD_BITS * len(p.vars)
     # t is the lowest field: its exponent is added there and to the degree; a
     # doubled exponent is below 2^FIELD_BITS, so no field carries
     out = {m + (m & FIELD_MASK) * (1 + (1 << shift)): c for m, c in p.terms.items()}
     check_degree(max(out, default=0) >> shift)
     return Poly._packed(p.vars, out, p.den)
-
-
-def set_t_zero(p: Poly) -> Poly:
-    """Restrict to t = 0; the result lives in the ambient without t."""
-    _require_t_first(p)
-    # with the t field 0, dropping it leaves the packing without t
-    return Poly._packed(p.vars[1:], {
-        m >> FIELD_BITS: c for m, c in p.terms.items() if not m & FIELD_MASK
-    }, p.den)

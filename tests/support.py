@@ -1,6 +1,6 @@
 """Shared helpers for the test suite: random polynomial generation, changes
-of coordinates, an independent random combination search, and the two worked
-families used as regression anchors."""
+of coordinates, the restriction to t = 0, an independent random combination
+search, and the two worked families used as regression anchors."""
 
 import random
 from fractions import Fraction
@@ -60,6 +60,12 @@ def random_origin_poly(rng, vars, **kw) -> Poly:
 def flip_t(p: Poly) -> Poly:
     """p with t replaced by -t (t is the first variable)."""
     return Poly(p.vars, {m: -c if m[0] % 2 else c for m, c in p.sorted_terms()})
+
+
+def set_t_zero(p: Poly) -> Poly:
+    """p at t = 0, in its ambient without t (t is the first variable): the
+    reference for the germs (t, g) that stand for g(0, .) in the analysis."""
+    return Poly(p.vars[1:], {m[1:]: c for m, c in p.sorted_terms() if not m[0]})
 
 
 def swap_x(p: Poly) -> Poly:

@@ -108,6 +108,30 @@ def test_nested_power_past_the_cap_is_a_parse_error(capsys):
     assert "cap of 64" in err and "position 8" in err
 
 
+def test_64th_power_expands_in_time_and_fails_a_hypothesis(capsys):
+    # (1 + t + x1 + x2)^64 expands to 47905 terms by repeated multiplication
+    # and then fails the first hypothesis: it does not map 0 to 0
+    code, out, err = run_cli(capsys, "analyze", "--f1", "(1+t+x1+x2)^64", "--f2", "x2")
+    assert code == 2 and out == ""
+    assert "origin" in err
+
+
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", lambda: 0)() != 4300,
+    reason="the inputs are sized for Python's default limit of 4300 digits",
+)
+@pytest.mark.parametrize("f1, at", [
+    # 10^4096 is under the limit, and its 64th power is the first past it
+    ("(((10^64)^64)^64)^64*x1", 13),
+    # 10^4288 and then 10^4352: the '*' of the 68th factor
+    ("*".join(["10^64"] * 68) + "*x1^3 + x2^2 + t*x1", 401),
+])
+def test_coefficient_past_the_digit_limit_is_a_parse_error(capsys, f1, at):
+    code, out, err = run_cli(capsys, "analyze", "--f1", f1, "--f2", "x2")
+    assert code == 1 and out == ""
+    assert "more than 4300 digits" in err and f"(at position {at})" in err
+
+
 def test_deep_nesting_is_a_parse_error(capsys):
     code, _, err = run_cli(
         capsys, "analyze", "--f1", "(" * 300 + "x1" + ")" * 300, "--f2", "x2"

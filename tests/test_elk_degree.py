@@ -25,12 +25,11 @@ from cuspcount.polyring import (
     jacobian_det,
     pack_monomial,
     partial,
-    set_t_zero,
     substitute_t_squared,
 )
 
 from oracle import germ_is_oracle_friendly, preimage_degree, winding_degree
-from support import CRAFTED_FAMILIES, EX1, EX2, random_origin_poly
+from support import CRAFTED_FAMILIES, EX1, EX2, random_origin_poly, set_t_zero
 
 
 def p2(text):

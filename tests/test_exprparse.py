@@ -152,6 +152,33 @@ def test_integer_literal_past_the_int_conversion_limit():
         assert e.value.position == at
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this Python converts integers of any length to strings",
+)
+def test_coefficient_past_the_int_conversion_limit():
+    limit = sys.get_int_max_str_digits()
+    # 10^(64*k) has 64*k + 1 digits: k factors of 10^64 are the first past
+    # the limit, and the error sits at the '*' that multiplies in the k-th,
+    # the (k-1)-th '*' of the product, at 6*(k-1) - 1
+    k = limit // 64 + 1
+    square = f"x2 + (1/{10 ** (limit - 1)} + x1)^2"  # a denominator, at the '^'
+    for text, at in (
+        ("*".join(["10^64"] * k) + "*x1^3 + x2^2 + t*x1", 6 * (k - 1) - 1),
+        (square, square.index("^")),
+        (f"{'9' * limit} + {'9' * limit}", 0),  # a sum: the whole expression
+    ):
+        with pytest.raises(ParseError, match=f"more than {limit} digits") as e:
+            parse_poly(text)
+        assert e.value.position == at, text[:40]
+    parse_poly("*".join(["10^64"] * (k - 1)) + "*x1")
+    # the rule is on the reduced coefficients, not on the common denominator:
+    # 1/P*x1 + 1/Q*x2 has den P*Q, twice as long as the limit, and prints
+    p, q = 10 ** (limit - 1) + 1, 10 ** (limit - 1) + 3
+    f = parse_poly(f"1/{p}*x1 + 1/{q}*x2")
+    assert f.den == p * q and parse_poly(str(f)) == f
+
+
 def test_adjacency_rejected():
     with pytest.raises(ParseError) as e:
         parse_poly("2 x1")

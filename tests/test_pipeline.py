@@ -10,6 +10,7 @@ from cuspcount.cusp_pipeline import (
     solve_sigma,
     verify_hypotheses,
 )
+from cuspcount.elk_degree import local_degree
 from cuspcount.errors import (
     HypothesisFailed,
     InconsistentSystem,
@@ -19,9 +20,9 @@ from cuspcount.errors import (
     PipelineError,
 )
 from cuspcount.exprparse import parse_poly
-from cuspcount.polyring import VARS_TX, Poly
+from cuspcount.polyring import VARS_TX, Poly, partial
 
-from support import CRAFTED_FAMILIES, EX1, compose, flip_t, swap_x
+from support import CRAFTED_FAMILIES, EX1, EX2, compose, flip_t, set_t_zero, swap_x
 
 
 def p(text):
@@ -31,7 +32,9 @@ def p(text):
 def test_derive_worked_family():
     d = derive(p(EX1[0]), p(EX1[1]))
     assert d.J == p("3*x1^3 + t*x1 - 2*x2^2")
-    assert d.f0[0].vars == ("x1", "x2")
+    assert all(g.vars == VARS_TX for g in (*d.f0, *d.d0))
+    assert d.f0 == (p("t"), d.f1, d.f2)
+    assert d.d0 == (p("t"), d.d2[1], d.d2[2])
     assert d.d1[0] == p("x1")
 
 
@@ -177,6 +180,21 @@ def test_degree_identities_under_coordinate_changes(family):
     # b0' is twice the number of half-branches in t > 0, so with t -> -t it
     # is twice the number in t < 0, and the two halves make up b0
     assert base.b0_prime // 2 + flipped.b0_prime // 2 == base.b0
+
+
+@pytest.mark.parametrize("family", [EX1, EX2, *CRAFTED_FAMILIES, *GENERATED_FAMILIES])
+def test_t_zero_germs_match_their_restrictions(family):
+    # (t, g) has the preimages of (0, eta) that g(0, .) has, with the same
+    # Jacobian signs, and O/<t, g> is the local algebra of g(0, .)
+    d = derive(p(family[0]), p(family[1]))
+    h = verify_hypotheses(d)
+    grad_x = (partial(d.J, 1), partial(d.J, 2))
+    for germ, g, dim in ((d.f0, (d.f1, d.f2), h.dim_t_f1_f2),
+                         (d.d0, grad_x, h.dim_t_gradJ)):
+        cert = local_degree(germ)
+        reference = local_degree([set_t_zero(c) for c in g])
+        assert cert.degree == reference.degree
+        assert cert.algebra_dim == reference.algebra_dim == dim
 
 
 @pytest.mark.parametrize("family", [EX1, *CRAFTED_FAMILIES, *GENERATED_FAMILIES])

@@ -17,12 +17,11 @@ from cuspcount.polyring import (
     jacobian2,
     jacobian_det,
     partial,
-    set_t_zero,
     substitute_t_squared,
 )
 from cuspcount.exprparse import parse_poly
 
-from support import flip_t, random_poly
+from support import flip_t, random_poly, set_t_zero
 
 
 def p(text, vars=VARS_TX):
@@ -276,8 +275,24 @@ def test_degree_past_the_packed_fields_raises():
 def test_pow():
     assert p("x1 + 1") ** 0 == p("1")
     assert p("x1 + x2") ** 2 == p("x1^2 + 2*x1*x2 + x2^2")
+    assert p("2") ** 10 == p("1024") and p("0") ** 3 == p("0")
     with pytest.raises(ValueError):
         p("x1") ** -1
+
+
+def test_pow_checks_the_degree_before_multiplying():
+    # n * max(degree, 1) is checked up front: the 40000th power of x1 + x2
+    # raises before its first product, and so does any exponent past
+    # MAX_DEGREE, on a constant base as on a zero one
+    for base in (p("x1 + x2"), p("2"), p("0")):
+        with pytest.raises(ExponentOverflow):
+            base ** (MAX_DEGREE + 1)
+    with pytest.raises(ExponentOverflow):
+        p("x1 + x2") ** 40000
+    with pytest.raises(ExponentOverflow):
+        p("x1^2") ** (MAX_DEGREE // 2 + 1)
+    top = p("x1^2") ** (MAX_DEGREE // 2)
+    assert top.sorted_terms() == [((0, MAX_DEGREE - 1, 0), 1)]
 
 
 def test_ambient_mismatch_raises():
