@@ -8,7 +8,8 @@ the class of the Jacobian determinant; the form is nondegenerate and its
 signature does not depend on the admissible phi.  That class spans the
 socle of the algebra, which the last staircase monomial spans as well, so
 phi is the dual functional of that monomial, signed to be positive on the
-class.
+class.  Any positive multiple of phi has the same signature, so the pairing
+is taken over the integers, as den*phi for phi's positive denominator den.
 """
 
 from __future__ import annotations
@@ -42,7 +43,9 @@ def build_algebra(germ: Sequence[Poly]) -> LocalAlgebra:
 
 def signature(matrix: Sequence[Sequence]) -> tuple[int, int, int]:
     """Inertia (positives, negatives, zeros) of an exact symmetric matrix,
-    given as a square list of rows.
+    given as a square list of rows.  Int entries stay ints until an update
+    touches them, any other entry goes through Fraction(x), and the pivots
+    are Fractions, so no step divides an int by an int.
 
     Symmetric congruence elimination on the nonzero entries only, kept as
     {row: {col: value}}, with one pivot rule.  Each step takes the row k
@@ -64,11 +67,12 @@ def signature(matrix: Sequence[Sequence]) -> tuple[int, int, int]:
     entries.
     """
     n = len(matrix)
-    rows: dict[int, dict[int, Fraction]] = {}
+    rows: dict[int, dict[int, int | Fraction]] = {}
     for i, row in enumerate(matrix):
         if len(row) != n:
             raise ValueError("matrix must be square")
-        nonzeros = {j: Fraction(x) for j, x in enumerate(row) if x}
+        nonzeros = {j: x if type(x) is int else Fraction(x)
+                    for j, x in enumerate(row) if x}
         if nonzeros:
             rows[i] = nonzeros
     for i, row in rows.items():
@@ -84,6 +88,7 @@ def signature(matrix: Sequence[Sequence]) -> tuple[int, int, int]:
         for i in rk:
             del rows[i][k]
         if p is not None:
+            p = Fraction(p)
             if p > 0:
                 pos += 1
             else:
@@ -94,7 +99,7 @@ def signature(matrix: Sequence[Sequence]) -> tuple[int, int, int]:
         else:
             u = min(rk, key=lambda j: (len(rows[j]), j))
             ru = rows.pop(u)
-            c = rk.pop(u)
+            c = Fraction(rk.pop(u))
             a = ru.pop(u, 0)
             pos += 1
             neg += 1

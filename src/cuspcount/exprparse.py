@@ -16,9 +16,10 @@ Integers take the ASCII digits 0-9 only (str.isdigit would also take
 superscripts), and no more of them than Python converts to an int (4300 by
 default where the interpreter limits it): a longer literal is an error at
 its first digit.  The same limit bounds the numerator and denominator of
-every coefficient: the "*" or "^" whose result first has a longer one is an
-error, and so is a whole expression whose sum has one (at position 0).  So
-every factor stays under the limit, and the parsed polynomial prints.
+every coefficient: the "*" whose result first has a longer one is an error,
+and so is the "^" one of whose partial products base^k, k <= e, has one,
+and a whole expression whose sum has one (at position 0).  So every factor
+stays under the limit, and the parsed polynomial prints.
 Whitespace is ignored.
 
 EXPONENT_CAP also bounds the degree of the parsed polynomial in each
@@ -188,7 +189,11 @@ class _Parser:
             if e > EXPONENT_CAP:
                 raise ParseError(f"exponent {e} exceeds the cap of {EXPONENT_CAP}", at)
             self.check_degrees([e * d for d in _degrees(base)], op_at)
-            return self.check_coefficients(base**e, op_at)
+            # every partial product is checked, so none grows past the limit
+            acc = Poly.constant(1, self.vars)
+            for _ in range(e):
+                acc = self.check_coefficients(acc * base, op_at)
+            return acc
         return base
 
     def check_degrees(self, degrees: list[int], at: int) -> None:

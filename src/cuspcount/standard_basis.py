@@ -63,9 +63,12 @@ degree), every monomial of degree >= N lies in the localized ideal, so Q is
 the quotient of the polynomials of degree < N by the span of the truncated
 multiples of the standard basis.  LocalAlgebra's exact, canonical
 coordinates on the staircase basis come from the completion's own reduction
-below degree N, and the dual functional of a staircase monomial from one
-bottom-up pass over the reducers, kept as its nonzero values; no
-normal-form units are involved.  Every monomial of degree N is zero in Q,
+below degree N, and the dual functional phi of a staircase monomial from one
+bottom-up pass over the reducers, kept as its nonzero values: int
+numerators over one positive denominator den, which the pass multiplies up
+only where a reducer's lead coefficient does not divide the value it
+builds.  The residue pairing is den*phi, all ints, and no normal-form
+units are involved.  Every monomial of degree N is zero in Q,
 so each staircase monomial of top degree is annihilated by the maximal
 ideal.  For a complete intersection the annihilator of the maximal ideal,
 the socle, is one-dimensional; the last staircase monomial is then the
@@ -282,7 +285,14 @@ def _staircase(
         while seen < len(leads) and leads[seen] >> shift <= d:
             seen += 1
         active = leads[:seen]  # the leads of degree <= d
-        kept = [m for m in level if not any(_divides(lm, m, guards) for lm in active)]
+        kept = []
+        for m in level:
+            mg = m | guards
+            for lm in active:
+                if (mg - lm) & guards == guards:
+                    break
+            else:
+                kept.append(m)
         out.extend(kept)
         level = sorted({m + s for m in kept for s in steps if m + s < lim})
         d += 1
@@ -334,7 +344,12 @@ def _complete(gens: list[dict[int, int]], nvars: int) -> _Core:
                 pairs, (max(e.a, other.a) + (lcm >> shift), lcm, j, e.idx)
             )
         # a lead divisible by a lead in the basis leaves the staircase as it is
-        moves_staircase = not any(_divides(other.lm, e.lm, guards) for other in elems)
+        eg = e.lm | guards
+        moves_staircase = True
+        for other in elems:
+            if (eg - other.lm) & guards == guards:
+                moves_staircase = False
+                break
         elems.append(e)
         if moves_staircase:
             st = _staircase([other.lm for other in elems], nvars, trunc)
@@ -504,8 +519,8 @@ class LocalAlgebra:
     The staircase basis and the truncation degree N are the ones the
     completion of the ideal hands over.  cobasis lists the staircase as
     exponent tuples; functional_table keeps a dual functional's nonzero
-    values only, keyed by packed monomials, and socle_pairing reads the
-    pairing off them.
+    values only, as ints over one denominator keyed by packed monomials,
+    and socle_pairing reads the integer pairing off them.
     """
 
     def __init__(self, ideal: LocalIdeal):
@@ -534,23 +549,27 @@ class LocalAlgebra:
             "standard nor reducible"
         )
 
-    def functional_table(self, m_star: int) -> dict[int, Fraction]:
-        """The nonzero values of the dual functional of the packed staircase
-        monomial m_star on the classes of the monomials of degree < N, keyed
-        by packed monomial: a monomial of degree < N that is not a key has
-        value 0."""
+    def functional_table(self, m_star: int) -> tuple[dict[int, int], int]:
+        """The dual functional phi of the packed staircase monomial m_star
+        on the classes of the monomials of degree < N, as (values, den):
+        values holds the nonzero ints den*phi(m), keyed by packed monomial,
+        over one positive denominator den; a monomial of degree < N that is
+        not a key has value 0."""
         if m_star not in self._index:
             raise ValueError(f"{m_star!r} is not a packed staircase monomial")
         index, reducers, cap = self._index, self._reducers, self._cap
         nvars, guards = len(self.vars), guard_bits(len(self.vars))
-        table = {m_star: Fraction(1)}
+        table, den = {m_star: 1}, 1
         # smallest first: m = -(1/lc) * (tail of its reducer shifted onto m),
         # and every term of that tail is smaller than m
         for m in reversed(_staircase((), nvars, self._n)):
             if m in index:
                 continue
-            red = next((r for r in reducers if _divides(r.lm, m, guards)), None)
-            if red is None:
+            mg = m | guards
+            for red in reducers:
+                if (mg - red.lm) & guards == guards:
+                    break
+            else:
                 raise self._unreduced(m)
             w = m - red.lm
             acc = 0
@@ -562,8 +581,15 @@ class LocalAlgebra:
                 if v is not None:
                     acc += c * v
             if acc:
-                table[m] = -acc / red.lc
-        return table
+                # every lead coefficient is positive, so den stays positive
+                lc = red.lc
+                if acc % lc:
+                    g = lc // gcd(acc, lc)
+                    den *= g
+                    acc *= g
+                    table = {mm: v * g for mm, v in table.items()}
+                table[m] = -acc // lc
+        return table, den
 
     def coords(self, p: Poly) -> tuple[Fraction, ...]:
         """Coordinates of the class of p in the staircase basis: the
@@ -583,11 +609,13 @@ class LocalAlgebra:
             vec[i] = Fraction(c, den)
         return tuple(vec)
 
-    def socle_pairing(self) -> list[list[Fraction | int]]:
-        """The pairing (a, b) -> phi(a*b) on the staircase basis as a square
-        list of rows, for phi the dual functional of the last staircase
-        monomial, which spans the socle of a complete intersection.  A
-        product of degree >= N is no key of phi's table and reads 0."""
+    def socle_pairing(self) -> list[list[int]]:
+        """The integer pairing (a, b) -> den*phi(a*b) on the staircase basis
+        as a square list of rows, for phi the dual functional of the last
+        staircase monomial, which spans the socle of a complete
+        intersection, and den its positive denominator: a positive multiple
+        of phi's pairing, so of the same signature.  A product of degree
+        >= N is no key of phi's table and reads 0."""
         staircase = self._staircase
-        table = self.functional_table(staircase[-1])
+        table, _ = self.functional_table(staircase[-1])
         return [[table.get(mi + mj, 0) for mj in staircase] for mi in staircase]

@@ -133,23 +133,29 @@ def test_algebra_mult_table_properties():
 
 def _assert_sweeps_are_dual(algebra):
     """coords (primal reduction) and functional_table (dual recursion) agree on
-    every monomial below the nilpotency degree, the tables hold only nonzero
-    values, and socle_pairing()[i][j] is the last coordinate of the product
-    of staircase monomials i and j."""
+    every monomial below the nilpotency degree: each table holds only nonzero
+    ints den*phi over a positive den.  socle_pairing()[i][j] is the int den
+    times the last coordinate of the product of staircase monomials i and j,
+    for den the denominator of the last staircase monomial's table."""
     n = algebra._n
     nv = len(algebra.vars)
     monos = [m for m in product(range(n), repeat=nv) if sum(m) < n]
     tables = [algebra.functional_table(pack_monomial(b)) for b in algebra.cobasis]
-    for table in tables:
-        assert all(table.values())
+    for table, den in tables:
+        assert type(den) is int and den > 0
+        assert all(type(v) is int and v for v in table.values())
     for m in monos:
         vec = algebra.coords(_mono(m, algebra.vars))
-        assert vec == tuple(table.get(pack_monomial(m), 0) for table in tables), m
+        assert vec == tuple(
+            Fraction(table.get(pack_monomial(m), 0), den) for table, den in tables
+        ), m
     pairing = algebra.socle_pairing()
+    den = tables[-1][1]
     for i, mi in enumerate(algebra.cobasis):
         for j, mj in enumerate(algebra.cobasis):
             prod = _mono(monomial_mul(mi, mj), algebra.vars)
-            assert pairing[i][j] == algebra.coords(prod)[-1], (mi, mj)
+            assert type(pairing[i][j]) is int, (mi, mj)
+            assert pairing[i][j] == den * algebra.coords(prod)[-1], (mi, mj)
 
 
 def test_coords_dual_to_functional_tables_ex1():
@@ -389,6 +395,32 @@ def test_signature_matches_descartes_on_random_sparse_matrices():
     assert 40 <= singular <= 160
 
 
+def test_signature_exact_on_int_input():
+    # singular: float elimination leaves 121 - 55*55/25 = -1.4e-14 and would
+    # read (1, 1, 0)
+    assert signature([[25, 55], [55, 121]]) == (1, 0, 1)
+    # singular too, through the 2x2 pivot [[0, 3], [3, 5]]: in floats 1/3
+    # leaves a residue and reads (2, 1, 0)
+    assert signature([[0, 3, 3], [3, 5, 8], [3, 8, 11]]) == (1, 1, 1)
+    # int entries stay ints until an update touches them; dividing by a
+    # positive s, or writing some entries as Fractions, keeps the inertia
+    rng = random.Random(53)
+    singular = 0
+    for _ in range(100):
+        m = _random_sparse_symmetric(rng, rng.randint(1, 12))
+        ints = [[int(x * 60) for x in row] for row in m]
+        s = rng.randint(1, 10**6)
+        scaled = [[Fraction(x, s) for x in row] for row in ints]
+        mixed = [[Fraction(x) if (i + j) % 2 else x for j, x in enumerate(row)]
+                 for i, row in enumerate(ints)]
+        want = signature(ints)
+        assert want == _inertia_by_descartes(ints), ints
+        assert signature(scaled) == want, (ints, s)
+        assert signature(mixed) == want, ints
+        singular += want[2] > 0
+    assert 20 <= singular <= 80
+
+
 def test_signature_matches_descartes_on_ex1_pairings(monkeypatch):
     algebras = []
 
@@ -478,7 +510,8 @@ def test_functional_choice_does_not_change_degree():
     assert len(admissible) >= 1
     for i in admissible:
         sign = 1 if jclass[i] > 0 else -1
-        table = algebra.functional_table(pack_monomial(algebra.cobasis[i]))
+        table, den = algebra.functional_table(pack_monomial(algebra.cobasis[i]))
+        assert den > 0
         n_cap = algebra._n
         b = []
         for r, mr in enumerate(algebra.cobasis):
@@ -533,6 +566,7 @@ def _assert_pairing_vanishes_at_degree_n(algebra):
         for j, dj in enumerate(degrees):
             if di + dj >= n:
                 assert b[i][j] == 0, (algebra.cobasis[i], algebra.cobasis[j])
+    return b
 
 
 def test_pairing_vanishes_at_degree_n():
@@ -558,7 +592,9 @@ def test_pairing_vanishes_at_degree_n():
     g1, g2, g3 = (substitute_t_squared(g) for g in (d.F1, d.F2, d.J))
     algebra = build_algebra(build_H(g1, g2, g3, 6, +1))
     assert algebra.dim == 238
-    _assert_pairing_vanishes_at_degree_n(algebra)
+    b = _assert_pairing_vanishes_at_degree_n(algebra)
+    # the pairing is den*phi, all ints
+    assert all(type(x) is int for row in b for x in row)
 
 
 def test_orientation_swap_flips_degree():

@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 
 import pytest
 
@@ -177,6 +178,23 @@ def test_coefficient_past_the_int_conversion_limit():
     p, q = 10 ** (limit - 1) + 1, 10 ** (limit - 1) + 3
     f = parse_poly(f"1/{p}*x1 + 1/{q}*x2")
     assert f.den == p * q and parse_poly(str(f)) == f
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="this Python converts integers of any length to strings",
+)
+def test_power_stops_at_its_first_long_partial_product():
+    # N is under the limit and N^2 past it: the '^' fails at base^2, not
+    # after expanding base^16 (about 25 s once, with 4000-digit N)
+    limit = sys.get_int_max_str_digits()
+    n = "9" * (limit - 300)
+    text = f"({n} + {n}*t + {n}*x1 + {n}*x2)^16"
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match=f"more than {limit} digits") as e:
+        parse_poly(text)
+    assert e.value.position == text.index("^")
+    assert time.perf_counter() - start < 5
 
 
 def test_adjacency_rejected():
