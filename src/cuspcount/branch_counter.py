@@ -30,7 +30,13 @@ from dataclasses import dataclass
 
 from .elk_degree import local_degree
 from .errors import NegativeBranchCount, OddBPrime, XiSearchExceededBound
-from .polyring import Poly, jacobian2, jacobian_det, substitute_t_squared
+from .polyring import (
+    Poly,
+    expand_first_row,
+    jacobian2,
+    jacobian_cofactors,
+    substitute_t_squared,
+)
 from .standard_basis import LocalIdeal
 
 DEFAULT_XI_CAP = 64
@@ -87,28 +93,38 @@ def compute_xi(g1: Poly, g2: Poly, g3: Poly, cap: int = DEFAULT_XI_CAP) -> int:
 
 
 def build_H(
-    g1: Poly, g2: Poly, g3: Poly, k: int, sign: int
-) -> tuple[Poly, Poly, Poly]:
-    """The components of the auxiliary germ
-    (det d(g3 + sign*t^k, g1, g2)/d(t,x1,x2), g1, g2).
+    g1: Poly, g2: Poly, g3: Poly, k: int
+) -> tuple[tuple[tuple[Poly, Poly, Poly], Poly], ...]:
+    """The auxiliary germs H(sign) = (det d(g3 + sign*t^k, g1, g2)/d(t,x1,x2),
+    g1, g2), each with its Jacobian determinant: ((H+, Jac H+), (H-, Jac H-)).
+
+    Both signs come from one cofactor expansion.  With c_j the cofactors of
+    the first row of d(., g1, g2)/d(t, x1, x2), a determinant is linear in
+    that row, so the first component is A + sign*B for A = sum_j d_j g3 * c_j
+    and B = k*t^(k-1) * c_0.  The Jacobian of H(sign) has the rows of g1 and
+    g2 below its first row again, so it is JA + sign*JB for the expansions
+    JA and JB of A and B along the same c_j.
 
     The first component may be a unit; the germ then has no zero near the
     origin and its local degree is 0.
     """
     if k <= 0 or k % 2 != 0:
         raise ValueError("k must be a positive even integer")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+    cofactors = jacobian_cofactors([g1, g2])
     t = Poly.variable("t", g1.vars)
-    first = jacobian_det([g3 + t**k * sign, g1, g2])
-    return first, g1, g2
+    a = expand_first_row(g3, cofactors)
+    b = expand_first_row(t**k, cofactors)
+    ja = expand_first_row(a, cofactors)
+    jb = expand_first_row(b, cofactors)
+    return ((a + b, g1, g2), ja + jb), ((a - b, g1, g2), ja - jb)
 
 
 def _count(g1: Poly, g2: Poly, g3: Poly, xi: int) -> BranchCount:
     """deg(H+) - deg(H-) with the smallest even k above the given xi."""
     k = xi + 2 - xi % 2
-    deg_plus = local_degree(build_H(g1, g2, g3, k, +1)).degree
-    deg_minus = local_degree(build_H(g1, g2, g3, k, -1)).degree
+    (plus, jac_plus), (minus, jac_minus) = build_H(g1, g2, g3, k)
+    deg_plus = local_degree(LocalIdeal(plus), jac_plus).degree
+    deg_minus = local_degree(LocalIdeal(minus), jac_minus).degree
     b0 = deg_plus - deg_minus
     if b0 < 0:
         raise NegativeBranchCount(

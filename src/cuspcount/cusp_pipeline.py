@@ -46,7 +46,14 @@ from .errors import (
     ParityViolation,
     PipelineError,
 )
-from .polyring import Poly, VARS_TX, jacobian2, partial
+from .polyring import (
+    Poly,
+    VARS_TX,
+    expand_first_row,
+    jacobian2,
+    jacobian_cofactors,
+    partial,
+)
 from .standard_basis import INFINITE, LocalIdeal
 
 
@@ -54,8 +61,12 @@ from .standard_basis import INFINITE, LocalIdeal
 class DerivedGerms:
     """Everything derived from the input family before degree computations.
 
-    The germs f0, d0, d1 and d2 are tuples of their component polynomials,
-    all in (t, x1, x2); f0 and d0 stand for f and grad_x J at t = 0.
+    The germs f0, d0, d1 and d2 are the ideals of their component
+    polynomials, all in (t, x1, x2), with the components as generators in
+    order; f0 and d0 stand for f and grad_x J at t = 0.  Each completes
+    once: verify_hypotheses reads its dimension and the degree stage its
+    algebra from the same completion.  jac_f0, ..., jac_d2 are their
+    Jacobian determinants.
     """
 
     f1: Poly
@@ -63,10 +74,14 @@ class DerivedGerms:
     J: Poly
     F1: Poly
     F2: Poly
-    f0: tuple[Poly, Poly, Poly]
-    d0: tuple[Poly, Poly, Poly]
-    d1: tuple[Poly, Poly, Poly]
-    d2: tuple[Poly, Poly, Poly]
+    f0: LocalIdeal
+    d0: LocalIdeal
+    d1: LocalIdeal
+    d2: LocalIdeal
+    jac_f0: Poly
+    jac_d0: Poly
+    jac_d1: Poly
+    jac_d2: Poly
 
 
 @dataclass(frozen=True)
@@ -132,13 +147,23 @@ def derive(f1: Poly, f2: Poly) -> DerivedGerms:
     F2 = jacobian2(f2, J, 1, 2)
     Jt, Jx1, Jx2 = partial(J, 0), partial(J, 1), partial(J, 2)
     t = Poly.variable("t", VARS_TX)
-    f0 = (t, f1, f2)
+    f0 = LocalIdeal([t, f1, f2])
     # partials of J need not vanish at the origin; an empty zero set near the
     # origin is legitimate for the d-germs and yields degree 0
-    d0 = (t, Jx1, Jx2)
-    d1 = (Jt, Jx1, Jx2)
-    d2 = (J, Jx1, Jx2)
-    return DerivedGerms(f1, f2, J, F1, F2, f0, d0, d1, d2)
+    d0 = LocalIdeal([t, Jx1, Jx2])
+    d1 = LocalIdeal([Jt, Jx1, Jx2])
+    d2 = LocalIdeal([J, Jx1, Jx2])
+    # the Jacobian of (t, f1, f2) is d(f1, f2)/d(x1, x2) = J, and the three
+    # d-germs share the rows below their first, so one set of cofactors
+    # serves all three
+    cofactors = jacobian_cofactors([Jx1, Jx2])
+    return DerivedGerms(
+        f1, f2, J, F1, F2, f0, d0, d1, d2,
+        jac_f0=J,
+        jac_d0=expand_first_row(t, cofactors),
+        jac_d1=expand_first_row(Jt, cofactors),
+        jac_d2=expand_first_row(J, cofactors),
+    )
 
 
 def verify_hypotheses(d: DerivedGerms) -> HypothesisReport:
@@ -150,16 +175,16 @@ def verify_hypotheses(d: DerivedGerms) -> HypothesisReport:
     """
     t = Poly.variable("t", VARS_TX)
     checks = [
-        ("dim O/<t,f1,f2>", LocalIdeal(d.f0)),
+        ("dim O/<t,f1,f2>", d.f0),
         ("dim O/<t,F1,F2>", LocalIdeal([t, d.F1, d.F2])),
-        ("dim O/<t,dJ/dx1,dJ/dx2>", LocalIdeal(d.d0)),
+        ("dim O/<t,dJ/dx1,dJ/dx2>", d.d0),
         ("dim O/I'", LocalIdeal([
             d.J, d.F1, d.F2,
             jacobian2(d.F1, d.J, 1, 2),
             jacobian2(d.F2, d.J, 1, 2),
         ])),
-        ("dim O/<d1 components>", LocalIdeal(d.d1)),
-        ("dim O/<d2 components>", LocalIdeal(d.d2)),
+        ("dim O/<d1 components>", d.d1),
+        ("dim O/<d2 components>", d.d2),
         ("dim O/I''", curve_criterion_ideal(d.F1, d.F2)),
         ("dim Q", LocalIdeal([t, d.J, d.F1, d.F2])),
     ]
@@ -253,10 +278,10 @@ def run(
     derived = stage("derive", derive, f1, f2)
     hyp = stage("verify_hypotheses", verify_hypotheses, derived)
 
-    deg_f0 = stage("degree f0", local_degree, derived.f0).degree
-    deg_d0 = stage("degree d0", local_degree, derived.d0).degree
-    deg_d1 = stage("degree d1", local_degree, derived.d1).degree
-    deg_d2 = stage("degree d2", local_degree, derived.d2).degree
+    deg_f0 = stage("degree f0", local_degree, derived.f0, derived.jac_f0).degree
+    deg_d0 = stage("degree d0", local_degree, derived.d0, derived.jac_d0).degree
+    deg_d1 = stage("degree d1", local_degree, derived.d1, derived.jac_d1).degree
+    deg_d2 = stage("degree d2", local_degree, derived.d2, derived.jac_d2).degree
 
     cusp_pos = cusp_degree(deg_f0, deg_d1, deg_d2, +1)
     cusp_neg = cusp_degree(deg_f0, deg_d1, deg_d2, -1)

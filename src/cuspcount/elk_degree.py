@@ -14,12 +14,14 @@ is taken over the integers, as den*phi for phi's positive denominator den.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from typing import Sequence
 
 from .errors import InternalInconsistency
-from .polyring import Poly, jacobian_det
+from .polyring import Poly
 from .standard_basis import LocalAlgebra, LocalIdeal
 
 
@@ -33,12 +35,12 @@ class DegreeCertificate:
     signature_split: tuple[int, int]
 
 
-def build_algebra(germ: Sequence[Poly]) -> LocalAlgebra:
-    """Local algebra of a square germ, given as the sequence of its component
-    polynomials (one per variable, all in one ambient)."""
-    if not germ or len(germ) != len(germ[0].vars):
+def build_algebra(ideal: LocalIdeal) -> LocalAlgebra:
+    """Local algebra of a square germ, given as the ideal of its components
+    (one per variable), whose completion it reads."""
+    if len(ideal.generators) != len(ideal.vars):
         raise ValueError("build_algebra needs a square germ")
-    return LocalAlgebra(LocalIdeal(germ))
+    return LocalAlgebra(ideal)
 
 
 def signature(matrix: Sequence[Sequence]) -> tuple[int, int, int]:
@@ -49,11 +51,12 @@ def signature(matrix: Sequence[Sequence]) -> tuple[int, int, int]:
 
     Symmetric congruence elimination on the nonzero entries only, kept as
     {row: {col: value}}, with one pivot rule.  Each step takes the row k
-    with the fewest entries, lowest index on ties.  If a[k][k] = p is
-    nonzero, it pivots on p: one square of the sign of p.  Otherwise it
-    pivots on the 2x2 block [[0, c], [c, a]] of k and its neighbour u with
-    the fewest entries (c = a[k][u], a = a[u][u]), whose determinant -c^2
-    gives one positive and one negative square.  Both pivots apply one
+    with the fewest entries, lowest index on ties, from a heap of
+    (entries, row) in which a pair whose row has since changed is skipped.
+    If a[k][k] = p is nonzero, it pivots on p: one square of the sign of p.
+    Otherwise it pivots on the 2x2 block [[0, c], [c, a]] of k and its
+    neighbour u with the fewest entries (c = a[k][u], a = a[u][u]), whose
+    determinant -c^2 gives one positive and one negative square.  Both pivots apply one
     rank-2 update, the Schur complement A - (y z^T + z y^T) with y the row
     of k: z = y/(2p) for the 1x1 pivot, and z = x/c - a/(2c^2) y for the
     2x2 one, x the row of u.
@@ -72,7 +75,7 @@ def signature(matrix: Sequence[Sequence]) -> tuple[int, int, int]:
         if len(row) != n:
             raise ValueError("matrix must be square")
         nonzeros = {j: x if type(x) is int else Fraction(x)
-                    for j, x in enumerate(row) if x}
+                    for j, x in compress(enumerate(row), row)}
         if nonzeros:
             rows[i] = nonzeros
     for i, row in rows.items():
@@ -80,9 +83,16 @@ def signature(matrix: Sequence[Sequence]) -> tuple[int, int, int]:
             if rows.get(j, {}).get(i) != x:
                 raise ValueError("matrix must be symmetric")
 
+    # (entries, row) for every row, and stale pairs skipped: a row's pair is
+    # pushed again whenever an update changes its length
+    sizes = [(len(r), i) for i, r in rows.items()]
+    heapq.heapify(sizes)
     pos = neg = 0
     while rows:
-        k = min(rows, key=lambda i: (len(rows[i]), i))
+        while True:
+            size, k = heapq.heappop(sizes)
+            if k in rows and len(rows[k]) == size:
+                break
         rk = rows.pop(k)
         p = rk.pop(k, None)
         for i in rk:
@@ -128,23 +138,29 @@ def signature(matrix: Sequence[Sequence]) -> tuple[int, int, int]:
                     if j != i:
                         del rows[j][i]
         for i in rk.keys() | z.keys():
-            if not rows[i]:
+            if rows[i]:
+                heapq.heappush(sizes, (len(rows[i]), i))
+            else:
                 del rows[i]
     return pos, neg, n - pos - neg
 
 
-def local_degree(germ: Sequence[Poly]) -> DegreeCertificate:
+def local_degree(ideal: LocalIdeal, jacobian: Poly) -> DegreeCertificate:
     """Local topological degree at the origin of a square germ, given as the
-    sequence of its component polynomials.
+    ideal of its components and its Jacobian determinant, for example
+    local_degree(LocalIdeal(germ), jacobian_det(germ)).  The ideal gives the
+    algebra and the Jacobian its orientation, so a caller that has completed
+    the ideal already, or built the Jacobian from shared pieces, passes them
+    as they are.
 
     A germ whose components have no common zero near the origin (unit
     component ideal) gets degree 0 with an empty certificate.
     """
-    algebra = build_algebra(germ)
+    algebra = build_algebra(ideal)
     if algebra.dim == 0:
         return DegreeCertificate(0, 0, (), (0, 0))
 
-    jclass = algebra.coords(jacobian_det(germ))
+    jclass = algebra.coords(jacobian)
     c = jclass[-1]
     if not c or any(jclass[:-1]):
         raise InternalInconsistency(

@@ -5,6 +5,10 @@ numerators over one positive int denominator.  Every operation is exact;
 nothing is ever rounded.  Every germ of the analysis lives in
 ``("t", "x1", "x2")``, but the arithmetic is generic in the variable tuple.
 
+Jacobian determinants are expanded along the first row, from the
+cofactors of the rows below it (jacobian_cofactors), so maps that differ
+only in their first component share one set of cofactors.
+
 The term order used for serialization (and everywhere else in the package)
 is the anti-degree reverse-lexicographic local order: lower total degree
 means a *larger* monomial, ties broken reverse-lexicographically, so the
@@ -280,9 +284,10 @@ def det(rows: Sequence[Sequence]):
         raise ValueError("det needs a square matrix")
     if n <= 1:
         return rows[0][0] if rows else 1
-    total = 0
-    for j, a in enumerate(rows[0]):
-        term = a * det([row[:j] + row[j + 1:] for row in rows[1:]])
+    minors = (det([row[:j] + row[j + 1:] for row in rows[1:]]) for j in range(n))
+    total = rows[0][0] * next(minors)
+    for j, m in enumerate(minors, 1):
+        term = rows[0][j] * m
         total = total - term if j % 2 else total + term
     return total
 
@@ -295,12 +300,38 @@ def jacobian2(p: Poly, q: Poly, v1: int, v2: int) -> Poly:
     return det([[partial(p, v1), partial(p, v2)], [partial(q, v1), partial(q, v2)]])
 
 
+def jacobian_cofactors(rest: Sequence[Poly]) -> list[Poly]:
+    """The cofactors c_j of the first row of the derivative matrix of a
+    square map (p, *rest).  They do not depend on p: the map's Jacobian
+    determinant is expand_first_row(p, c), linear in p, so maps that share
+    rest share one expansion."""
+    n = len(rest) + 1
+    if any(len(c.vars) != n for c in rest):
+        raise ValueError("a square map needs as many components as variables")
+    below = [[partial(c, j) for j in range(n)] for c in rest]
+    out = []
+    for j in range(n):
+        m = det([row[:j] + row[j + 1:] for row in below])
+        out.append(-m if j % 2 else m)
+    return out
+
+
+def expand_first_row(p: Poly, cofactors: Sequence[Poly]) -> Poly:
+    """The sum of d p/d v_j * cofactors[j]: the Jacobian determinant of the
+    map (p, *rest), for the cofactors jacobian_cofactors(rest)."""
+    if len(cofactors) != len(p.vars):
+        raise ValueError("expand_first_row needs one cofactor per variable")
+    return sum(
+        (partial(p, j) * c for j, c in enumerate(cofactors)), Poly.zero(p.vars)
+    )
+
+
 def jacobian_det(components: Sequence[Poly]) -> Poly:
-    """Expanded determinant of the derivative matrix of a square map."""
-    n = len(components)
-    if n == 0 or len(components[0].vars) != n:
+    """Expanded determinant of the derivative matrix of a square map, along
+    its first row."""
+    if not components or len(components[0].vars) != len(components):
         raise ValueError("jacobian_det needs as many components as variables")
-    return det([[partial(c, j) for j in range(n)] for c in components])
+    return expand_first_row(components[0], jacobian_cofactors(components[1:]))
 
 
 def substitute_t_squared(p: Poly) -> Poly:

@@ -67,19 +67,23 @@ below degree N, and the dual functional phi of a staircase monomial from one
 bottom-up pass over the reducers, kept as its nonzero values: int
 numerators over one positive denominator den, which the pass multiplies up
 only where a reducer's lead coefficient does not divide the value it
-builds.  The residue pairing is den*phi, all ints, and no normal-form
-units are involved.  Every monomial of degree N is zero in Q,
-so each staircase monomial of top degree is annihilated by the maximal
-ideal.  For a complete intersection the annihilator of the maximal ideal,
-the socle, is one-dimensional; the last staircase monomial is then the
-only one of top degree and spans it.
+builds.  The pass enumerates the monomials below N directly, one range
+of packed ints at a time (_box).  The residue pairing is den*phi, all
+ints, and no normal-form units are involved; each row of it stops at its
+degree cut, since a product of degree >= N reads 0.  Every monomial of
+degree N is zero in Q, so each staircase monomial of top degree is
+annihilated by the maximal ideal.  For a complete intersection the
+annihilator of the maximal ideal, the socle, is one-dimensional; the last
+staircase monomial is then the only one of top degree and spans it.
 """
 
 from __future__ import annotations
 
 import heapq
 import threading
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import islice, repeat
 from math import gcd, inf
 from typing import NamedTuple, Sequence
 
@@ -296,6 +300,32 @@ def _staircase(
         out.extend(kept)
         level = sorted({m + s for m in kept for s in steps if m + s < lim})
         d += 1
+    return out
+
+
+def _box(nvars: int, n: int) -> list[int]:
+    """The packed monomials of degree < n, descending.
+
+    Within one degree, once the exponents above the lowest two fields are
+    fixed, the rest r of the degree splits over those two fields as
+    (r - e, e) for e = 0..r, which packs to base + r + e*FIELD_MASK: the
+    descending ints of those monomials are one range.
+    """
+    shift = FIELD_BITS * nvars
+    if nvars == 1:
+        return [(d << shift) + d for d in range(n - 1, -1, -1)]
+    out: list[int] = []
+    for d in range(n - 1, -1, -1):
+        # (v, base, r): the exponents of fields v and below share the rest r;
+        # pushed in ascending exponent of field v, so popped descending
+        stack = [(nvars - 1, d << shift, d)]
+        while stack:
+            v, base, r = stack.pop()
+            if v == 1:
+                out.extend(range(base + (r << FIELD_BITS), base + r - 1, -FIELD_MASK))
+            else:
+                at = FIELD_BITS * v
+                stack.extend((v - 1, base + (e << at), r - e) for e in range(r + 1))
     return out
 
 
@@ -562,7 +592,7 @@ class LocalAlgebra:
         table, den = {m_star: 1}, 1
         # smallest first: m = -(1/lc) * (tail of its reducer shifted onto m),
         # and every term of that tail is smaller than m
-        for m in reversed(_staircase((), nvars, self._n)):
+        for m in _box(nvars, self._n):
             if m in index:
                 continue
             mg = m | guards
@@ -615,7 +645,19 @@ class LocalAlgebra:
         staircase monomial, which spans the socle of a complete
         intersection, and den its positive denominator: a positive multiple
         of phi's pairing, so of the same signature.  A product of degree
-        >= N is no key of phi's table and reads 0."""
-        staircase = self._staircase
+        >= N reads 0, so a row reads phi's table only up to its degree cut
+        and is padded with zeros."""
+        staircase, n = self._staircase, self._n
         table, _ = self.functional_table(staircase[-1])
-        return [[table.get(mi + mj, 0) for mj in staircase] for mi in staircase]
+        get, zeros = table.get, repeat(0)
+        shift = FIELD_BITS * len(self.vars)
+        rows = []
+        for mi in staircase:
+            # the partners of degree < N - deg(mi), a prefix of the staircase;
+            # islice, because a tuple slice per row, of every length, raised
+            # the peak RSS of a long run
+            width = bisect_left(staircase, (n - (mi >> shift)) << shift)
+            row = list(map(get, map(mi.__add__, islice(staircase, width)), zeros))
+            row += [0] * (self.dim - width)
+            rows.append(row)
+        return rows

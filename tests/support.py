@@ -6,7 +6,8 @@ import random
 from fractions import Fraction
 
 from cuspcount.branch_counter import curve_criterion_ideal
-from cuspcount.polyring import Poly, det
+from cuspcount.elk_degree import DegreeCertificate, local_degree
+from cuspcount.polyring import Poly, det, jacobian_det
 from cuspcount.standard_basis import INFINITE, LocalIdeal
 
 EX1 = ("x1^3 + x2^2 + t*x1", "x1*x2")
@@ -20,6 +21,20 @@ CRAFTED_FAMILIES = [
     ("x1", "x2^3 - x1*x2 - t*x2"),            # single traveling cusp
     ("x1", "x2^3 - x1^2*x2 + t^2*x2"),        # symmetric cusp pair
     ("x1^3 + x2^2 + t*x1", "2*x1*x2"),        # rescaled cubic
+]
+
+# generated families with a nonzero sigma, pinned as text:
+# perfbench.workloads.screen_families(1) at 63 and 102,
+# screen_families(2) at 10, 40, 78 and 108, and screen_families(1) at 98,
+# whose completion stalled while reductions took the shortest reducer
+GENERATED_FAMILIES = [
+    ("-x1^3 - 3*t*x1*x2 - x1^2*x2 + 2*x2^3", "2*t - x2 + 2*x1^2*x2"),
+    ("-3*x1 + 3*t*x2 - 2*x2^2", "2*t^2 - 2*t*x1*x2 - x1^2*x2 + 3*x2^3"),
+    ("2*x1*x2 - t^3", "x1^2 - 2*t^2*x2 - 2*x2^3"),
+    ("-x1 - x1*x2 + 2*t^3", "-3*x1 - 3*x1^2*x2 + 2*t*x2^2 - 2*x2^3"),
+    ("-2*x1^2 - t*x2 - 2*x2^3", "-2*x1 + 3*x1*x2 - 3*x2^3"),
+    ("t - 3*x1*x2", "x2 + 3*x1^2 + 2*x1^2*x2 - 2*t*x2^2"),
+    ("3*t - t*x1 - x1*x2 - 3*x1^3", "-3*t*x1 + x1^2 + 2*x1^2*x2 + 3*x2^3"),
 ]
 
 
@@ -55,6 +70,11 @@ def random_origin_poly(rng, vars, **kw) -> Poly:
         p = p - Poly.constant(p.constant_term(), vars)
         if not p.is_zero():
             return p
+
+
+def germ_degree(germ) -> DegreeCertificate:
+    """local_degree of a germ given as the sequence of its components."""
+    return local_degree(LocalIdeal(germ), jacobian_det(germ))
 
 
 def flip_t(p: Poly) -> Poly:

@@ -36,6 +36,7 @@ from support import (
     CRAFTED_FAMILIES,
     EX1,
     EX2,
+    germ_degree,
     random_combination,
     random_origin_poly,
     random_poly,
@@ -123,7 +124,7 @@ def _collect_oracle_germs(n_two, n_three):
                 for _ in range(len(vars))
             ]
             try:
-                cert = local_degree(comps)
+                cert = germ_degree(comps)
             except NotAlgebraicallyIsolated:
                 continue
             if cert.algebra_dim > 5:
@@ -226,7 +227,7 @@ def test_criterion_4_signature_suite():
             comps = [random_origin_poly(rng, VARS_X, max_deg=3, n_terms=4)
                      for _ in range(2)]
             try:
-                cert = local_degree(comps)
+                cert = germ_degree(comps)
             except NotAlgebraicallyIsolated:
                 continue
             pos, neg = cert.signature_split
@@ -314,8 +315,8 @@ def test_criterion_6_pipeline_property_suite():
             g = choose_combination(d.J, d.F1, d.F2)
             # b0 invariance under k -> k + 2
             deg_plus, deg_minus = (
-                local_degree(build_H(*g, r.branch.k + 2, sign)).degree
-                for sign in (1, -1)
+                local_degree(LocalIdeal(germ), jacobian).degree
+                for germ, jacobian in build_H(*g, r.branch.k + 2)
             )
             assert deg_plus - deg_minus == r.b0, key
             # b0 invariance under a second verified combination matrix

@@ -1,5 +1,6 @@
 import pytest
 
+from cuspcount import branch_counter
 from cuspcount.branch_counter import (
     COMBINATION_MATRIX,
     build_H,
@@ -9,6 +10,7 @@ from cuspcount.branch_counter import (
     count_branches_positive_t,
     curve_criterion_ideal,
 )
+from cuspcount.cusp_pipeline import run
 from cuspcount.elk_degree import local_degree
 from cuspcount.errors import XiSearchExceededBound
 from cuspcount.exprparse import parse_poly
@@ -21,7 +23,14 @@ from cuspcount.polyring import (
 )
 from cuspcount.standard_basis import INFINITE, LocalIdeal
 
-from support import CRAFTED_FAMILIES, EX1, EX2, flip_t, random_combination
+from support import (
+    CRAFTED_FAMILIES,
+    EX1,
+    EX2,
+    GENERATED_FAMILIES,
+    flip_t,
+    random_combination,
+)
 
 # generated families with odd xi: perfbench.workloads.screen_families(1)[18]
 # (xi 3), screen_families(2)[78] (xi 1) and screen_families(2)[82] (xi 7)
@@ -57,25 +66,48 @@ def counted_triple(family):
 
 
 def test_build_H_direct_expansion():
-    h_plus = build_H(p("x1"), p("x2"), p("t^2"), 4, +1)
-    h_minus = build_H(p("x1"), p("x2"), p("t^2"), 4, -1)
+    (h_plus, _), (h_minus, _) = build_H(p("x1"), p("x2"), p("t^2"), 4)
     assert h_plus == (p("2*t + 4*t^3"), p("x1"), p("x2"))
     assert h_minus == (p("2*t - 4*t^3"), p("x1"), p("x2"))
 
 
 def test_build_H_sign_flip_is_linear_in_first_row():
     g1, g2, g3 = p("x1 + t^2"), p("x2 - t^3"), p("t*x1 + x2^2")
-    hp = build_H(g1, g2, g3, 4, +1)[0]
-    hm = build_H(g1, g2, g3, 4, -1)[0]
+    (hp, _), (hm, _) = build_H(g1, g2, g3, 4)
     t = Poly.variable("t", VARS_TX)
-    assert hp - hm == jacobian_det([t**4, g1, g2]) * 2
+    assert hp[0] - hm[0] == jacobian_det([t**4, g1, g2]) * 2
 
 
-def test_build_H_validates_k_and_sign():
-    with pytest.raises(ValueError):
-        build_H(p("x1"), p("x2"), p("t"), 3, 1)
-    with pytest.raises(ValueError):
-        build_H(p("x1"), p("x2"), p("t"), 4, 2)
+def test_build_H_validates_k():
+    for k in (3, 0, -2):
+        with pytest.raises(ValueError):
+            build_H(p("x1"), p("x2"), p("t"), k)
+
+
+@pytest.mark.parametrize(
+    "family", [EX1, EX2, *CRAFTED_FAMILIES, *GENERATED_FAMILIES]
+)
+def test_shared_cofactor_expansion_matches_jacobian_det(family, monkeypatch):
+    # both stages of run() build H+ and H- from one cofactor expansion of
+    # d(., g1, g2)/d(t, x1, x2); each germ and its Jacobian must equal the
+    # direct expansions
+    built = []
+
+    def recording(g1, g2, g3, k):
+        h = build_H(g1, g2, g3, k)
+        built.append(((g1, g2, g3, k), h))
+        return h
+
+    monkeypatch.setattr(branch_counter, "build_H", recording)
+    run(p(family[0]), p(family[1]))
+    assert len(built) == 2
+    (plain, _), (substituted, _) = built
+    assert substituted[:3] == tuple(map(substitute_t_squared, plain[:3]))
+    t = Poly.variable("t", VARS_TX)
+    for (g1, g2, g3, k), h in built:
+        for sign, (germ, jacobian) in zip((1, -1), h):
+            assert germ == (jacobian_det([g3 + t**k * sign, g1, g2]), g1, g2)
+            assert jacobian == jacobian_det(germ)
 
 
 def test_xi_zero_when_g3_already_in_ideal():
@@ -160,8 +192,8 @@ def test_branches_negative_side_via_substitution():
 def test_k_stability():
     J, F1, F2 = ex1_triple()
     base = count_branches(F1, F2, J)
-    again = [local_degree(build_H(F1, F2, J, base.k + 2, sign)).degree
-             for sign in (1, -1)]
+    again = [local_degree(LocalIdeal(germ), jacobian).degree
+             for germ, jacobian in build_H(F1, F2, J, base.k + 2)]
     assert again[0] - again[1] == base.b0
 
 

@@ -15,7 +15,7 @@ from cuspcount.elk_degree import (
     local_degree,
     signature,
 )
-from cuspcount.errors import NotAlgebraicallyIsolated
+from cuspcount.errors import InternalInconsistency, NotAlgebraicallyIsolated
 from cuspcount.exprparse import parse_poly
 from cuspcount.polyring import (
     Poly,
@@ -27,9 +27,17 @@ from cuspcount.polyring import (
     partial,
     substitute_t_squared,
 )
+from cuspcount.standard_basis import LocalIdeal
 
 from oracle import germ_is_oracle_friendly, preimage_degree, winding_degree
-from support import CRAFTED_FAMILIES, EX1, EX2, random_origin_poly, set_t_zero
+from support import (
+    CRAFTED_FAMILIES,
+    EX1,
+    EX2,
+    germ_degree,
+    random_origin_poly,
+    set_t_zero,
+)
 
 
 def p2(text):
@@ -44,28 +52,30 @@ def p3(text):
 
 
 def test_algebra_identity_germ():
-    a = build_algebra([p2("x1"), p2("x2")])
+    a = build_algebra(LocalIdeal([p2("x1"), p2("x2")]))
     assert a.dim == 1
     assert a.cobasis == ((0, 0),)
 
 
 def test_algebra_staircase_dims():
-    assert build_algebra([p2("x1^2"), p2("x2^2")]).dim == 4
-    assert build_algebra([p2("x1^3"), p2("x2")]).dim == 3
+    assert build_algebra(LocalIdeal([p2("x1^2"), p2("x2^2")])).dim == 4
+    assert build_algebra(LocalIdeal([p2("x1^3"), p2("x2")])).dim == 3
 
 
 def test_algebra_rejects_nonisolated():
     with pytest.raises(NotAlgebraicallyIsolated):
-        build_algebra([p2("x1^2"), p2("x1*x2")])
+        build_algebra(LocalIdeal([p2("x1^2"), p2("x1*x2")]))
 
 
 def test_algebra_rejects_malformed_germs():
-    for germ in ([], [p2("x1")], [p3("x1"), p3("x2")]):
+    for germ in ([p2("x1")], [p3("x1"), p3("x2")]):
         with pytest.raises(ValueError, match="square"):
-            build_algebra(germ)
-    # components in two different ambients
+            build_algebra(LocalIdeal(germ))
+    # no components, or components in two different ambients
+    with pytest.raises(ValueError, match="at least one"):
+        LocalIdeal([])
     with pytest.raises(ValueError, match="ambient"):
-        build_algebra([p2("x1"), parse_poly("y", ("x1", "y"))])
+        LocalIdeal([p2("x1"), parse_poly("y", ("x1", "y"))])
 
 
 def _large_H_algebra():
@@ -73,12 +83,12 @@ def _large_H_algebra():
     and 54, so coords' fraction-free reduction carries a multiplier."""
     d = derive(p3(CRAFTED_FAMILIES[0][0]), p3(CRAFTED_FAMILIES[0][1]))
     g1, g2, g3 = (substitute_t_squared(g) for g in (d.F1, d.F2, d.J))
-    return build_algebra(build_H(g1, g2, g3, 6, +1))
+    return build_algebra(LocalIdeal(build_H(g1, g2, g3, 6)[0][0]))
 
 
 def test_algebra_coords_are_linear():
     rng = random.Random(41)
-    small = build_algebra([p2("x1^3 + x2^2"), p2("x1*x2")])
+    small = build_algebra(LocalIdeal([p2("x1^3 + x2^2"), p2("x1*x2")]))
     large = _large_H_algebra()
     assert {4, 6, 54} <= {r.lc for r in large._reducers}
     for a, max_deg in ((small, 4), (large, large._n + 2)):
@@ -105,7 +115,7 @@ def monomial_mul(a, b):
 
 
 def test_algebra_mult_table_properties():
-    a = build_algebra([p2("x1^2 - x2^3"), p2("x1*x2")])
+    a = build_algebra(LocalIdeal([p2("x1^2 - x2^3"), p2("x1*x2")]))
 
     def times(*ms):
         prod = (0, 0)
@@ -424,8 +434,8 @@ def test_signature_exact_on_int_input():
 def test_signature_matches_descartes_on_ex1_pairings(monkeypatch):
     algebras = []
 
-    def recording(germ):
-        algebra = build_algebra(germ)
+    def recording(ideal):
+        algebra = build_algebra(ideal)
         algebras.append(algebra)
         return algebra
 
@@ -442,35 +452,46 @@ def test_signature_matches_descartes_on_ex1_pairings(monkeypatch):
 
 
 def test_degree_trivial_germs():
-    assert local_degree([p3("t"), p3("x1"), p3("x2")]).degree == 1
-    assert local_degree([p2("x1"), p2("-x2")]).degree == -1
-    assert local_degree([p2("x1^2 - x2^2"), p2("2*x1*x2")]).degree == 2
+    assert germ_degree([p3("t"), p3("x1"), p3("x2")]).degree == 1
+    assert germ_degree([p2("x1"), p2("-x2")]).degree == -1
+    assert germ_degree([p2("x1^2 - x2^2"), p2("2*x1*x2")]).degree == 2
 
 
 def test_degree_worked_family():
     f1, f2 = p3(EX1[0]), p3(EX1[1])
     J = jacobian2(f1, f2, 1, 2)
-    assert local_degree([set_t_zero(f1), set_t_zero(f2)]).degree == -1
-    assert local_degree([partial(J, 0), partial(J, 1), partial(J, 2)]).degree == 1
-    assert local_degree([J, partial(J, 1), partial(J, 2)]).degree == -1
+    assert germ_degree([set_t_zero(f1), set_t_zero(f2)]).degree == -1
+    assert germ_degree([partial(J, 0), partial(J, 1), partial(J, 2)]).degree == 1
+    assert germ_degree([J, partial(J, 1), partial(J, 2)]).degree == -1
 
 
 def test_degree_gradient_with_empty_negative_side():
     # gradient (9*x1^2, -4*x2): the first component never goes negative, so a
     # value (-eps, 0) has no preimage and the degree is 0
-    cert = local_degree([p2("9*x1^2"), p2("-4*x2")])
+    cert = germ_degree([p2("9*x1^2"), p2("-4*x2")])
     assert cert.degree == 0
     assert winding_degree([p2("9*x1^2"), p2("-4*x2")], (0.0, 0.0), 0.05) == 0
 
 
 def test_degree_unit_component_is_zero():
-    cert = local_degree([p3("1 + 2*t"), p3("x1"), p3("x2")])
+    cert = germ_degree([p3("1 + 2*t"), p3("x1"), p3("x2")])
     assert cert == DegreeCertificate(0, 0, (), (0, 0))
+
+
+def test_degree_rejects_a_jacobian_off_the_socle():
+    # the caller hands local_degree the Jacobian; a class that is not a
+    # nonzero multiple of the socle monomial x1*x2 is an internal error
+    germ = [p2("x1^2"), p2("x2^2")]
+    ideal = LocalIdeal(germ)
+    assert local_degree(ideal, jacobian_det(germ)).degree == 0
+    for wrong in (p2("x1"), p2("x1^2"), p2("x1*x2 + x2")):
+        with pytest.raises(InternalInconsistency, match="socle"):
+            local_degree(ideal, wrong)
 
 
 def test_even_multiplicity_degree_zero():
     # preimages of a regular value come in sign-cancelling pairs
-    cert = local_degree([p2("x1^2"), p2("x2^2 + x1^2")])
+    cert = germ_degree([p2("x1^2"), p2("x2^2 + x1^2")])
     assert cert.degree == 0
     assert cert.algebra_dim == 4
 
@@ -480,7 +501,7 @@ def test_real_isolation_only_is_rejected():
     # complex zero set contains two lines, so the algebra is infinite
     comps = [p2("x1^3 + x1*x2^2"), p2("x2*x1^2 + x2^3")]
     with pytest.raises(NotAlgebraicallyIsolated):
-        local_degree(comps)
+        germ_degree(comps)
 
 
 def test_certificate_invariants():
@@ -489,7 +510,7 @@ def test_certificate_invariants():
     while found < 15:
         comps = [random_origin_poly(rng, VARS_X, max_deg=3, n_terms=4) for _ in range(2)]
         try:
-            cert = local_degree(comps)
+            cert = germ_degree(comps)
         except NotAlgebraicallyIsolated:
             continue
         found += 1
@@ -503,8 +524,8 @@ def test_certificate_invariants():
 
 def test_functional_choice_does_not_change_degree():
     comps = [p2("x1^3 + x2^2"), p2("x1*x2")]
-    cert = local_degree(comps)
-    algebra = build_algebra(comps)
+    cert = germ_degree(comps)
+    algebra = build_algebra(LocalIdeal(comps))
     jclass = algebra.coords(jacobian_det(comps))
     admissible = [i for i, c in enumerate(jclass) if c != 0]
     assert len(admissible) >= 1
@@ -527,7 +548,7 @@ def test_functional_choice_does_not_change_degree():
 
 
 def _assert_class_spans_the_socle(germ):
-    algebra = build_algebra(germ)
+    algebra = build_algebra(LocalIdeal(germ))
     jclass = algebra.coords(jacobian_det(germ))
     assert jclass[-1] != 0 and not any(jclass[:-1]), germ
     degrees = [sum(m) for m in algebra.cobasis]
@@ -546,7 +567,7 @@ def test_jacobian_class_spans_the_last_staircase_monomial():
         comps = [random_origin_poly(rng, vars, max_deg=3, n_terms=4, coeff_range=2)
                  for _ in vars]
         try:
-            if build_algebra(comps).dim == 0:
+            if build_algebra(LocalIdeal(comps)).dim == 0:
                 continue
         except NotAlgebraicallyIsolated:
             continue
@@ -555,7 +576,7 @@ def test_jacobian_class_spans_the_last_staircase_monomial():
     # EX2's H+ after t -> t^2, the largest algebra of the worked families
     d = derive(p3(EX2[0]), p3(EX2[1]))
     g1, g2, g3 = (substitute_t_squared(g) for g in (d.F1, d.F2, d.J))
-    assert _assert_class_spans_the_socle(build_H(g1, g2, g3, 6, +1)) == 238
+    assert _assert_class_spans_the_socle(build_H(g1, g2, g3, 6)[0][0]) == 238
 
 
 def _assert_pairing_vanishes_at_degree_n(algebra):
@@ -581,7 +602,7 @@ def test_pairing_vanishes_at_degree_n():
         comps = [random_origin_poly(rng, vars, max_deg=3, n_terms=4, coeff_range=2)
                  for _ in vars]
         try:
-            algebra = build_algebra(comps)
+            algebra = build_algebra(LocalIdeal(comps))
         except NotAlgebraicallyIsolated:
             continue
         if algebra.dim == 0:
@@ -590,7 +611,7 @@ def test_pairing_vanishes_at_degree_n():
         checked += 1
     d = derive(p3(EX2[0]), p3(EX2[1]))
     g1, g2, g3 = (substitute_t_squared(g) for g in (d.F1, d.F2, d.J))
-    algebra = build_algebra(build_H(g1, g2, g3, 6, +1))
+    algebra = build_algebra(LocalIdeal(build_H(g1, g2, g3, 6)[0][0]))
     assert algebra.dim == 238
     b = _assert_pairing_vanishes_at_degree_n(algebra)
     # the pairing is den*phi, all ints
@@ -601,7 +622,7 @@ def test_orientation_swap_flips_degree():
     for comps in ([p2("x1^3 + x2^2"), p2("x1*x2")],
                   [p2("x1^2 - x2^2"), p2("2*x1*x2")]):
         swapped = [comps[1], comps[0]]
-        assert local_degree(swapped).degree == -local_degree(comps).degree
+        assert germ_degree(swapped).degree == -germ_degree(comps).degree
 
 
 # -- numeric oracle agreement -------------------------------------------------
@@ -613,7 +634,7 @@ def _random_isolated_germ(rng, vars, max_dim):
                                     coeff_range=2)
                  for _ in range(len(vars))]
         try:
-            cert = local_degree(comps)
+            cert = germ_degree(comps)
         except NotAlgebraicallyIsolated:
             continue
         if cert.algebra_dim > max_dim:

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from cuspcount import standard_basis
 from cuspcount.cusp_pipeline import (
     cusp_degree,
     derive,
@@ -10,7 +11,6 @@ from cuspcount.cusp_pipeline import (
     solve_sigma,
     verify_hypotheses,
 )
-from cuspcount.elk_degree import local_degree
 from cuspcount.errors import (
     HypothesisFailed,
     InconsistentSystem,
@@ -20,9 +20,19 @@ from cuspcount.errors import (
     PipelineError,
 )
 from cuspcount.exprparse import parse_poly
-from cuspcount.polyring import VARS_TX, Poly, partial
+from cuspcount.polyring import VARS_TX, Poly, jacobian_det, partial
 
-from support import CRAFTED_FAMILIES, EX1, EX2, compose, flip_t, set_t_zero, swap_x
+from support import (
+    CRAFTED_FAMILIES,
+    EX1,
+    EX2,
+    GENERATED_FAMILIES,
+    compose,
+    flip_t,
+    germ_degree,
+    set_t_zero,
+    swap_x,
+)
 
 
 def p(text):
@@ -32,10 +42,19 @@ def p(text):
 def test_derive_worked_family():
     d = derive(p(EX1[0]), p(EX1[1]))
     assert d.J == p("3*x1^3 + t*x1 - 2*x2^2")
-    assert all(g.vars == VARS_TX for g in (*d.f0, *d.d0))
-    assert d.f0 == (p("t"), d.f1, d.f2)
-    assert d.d0 == (p("t"), d.d2[1], d.d2[2])
-    assert d.d1[0] == p("x1")
+    assert all(g.vars == VARS_TX for g in (*d.f0.generators, *d.d0.generators))
+    assert d.f0.generators == (p("t"), d.f1, d.f2)
+    assert d.d0.generators == (p("t"), d.d2.generators[1], d.d2.generators[2])
+    assert d.d1.generators[0] == p("x1")
+
+
+@pytest.mark.parametrize("family", [EX1, EX2, *CRAFTED_FAMILIES, *GENERATED_FAMILIES])
+def test_derived_jacobians_match_jacobian_det(family):
+    # derive builds the four Jacobians from J and one shared set of cofactors
+    d = derive(p(family[0]), p(family[1]))
+    for germ, jacobian in ((d.f0, d.jac_f0), (d.d0, d.jac_d0),
+                           (d.d1, d.jac_d1), (d.d2, d.jac_d2)):
+        assert jacobian == jacobian_det(germ.generators)
 
 
 def test_derive_rejects_regular_germ():
@@ -71,6 +90,26 @@ def test_verify_hypotheses_i_prime_failure():
     with pytest.raises(HypothesisFailed) as e:
         verify_hypotheses(derive(p("x1^2"), p("x2^2")))
     assert e.value.condition == "dim O/I'"
+
+
+@pytest.mark.parametrize("family", [EX1, EX2])
+def test_no_ideal_is_completed_twice(family, monkeypatch):
+    # verify_hypotheses and the degree stage share the completion of each
+    # of the germs f0, d0, d1 and d2
+    complete = standard_basis._complete
+    completed = []
+
+    def recording(gens, nvars):
+        completed.append(tuple(tuple(sorted(g.items())) for g in gens))
+        return complete(gens, nvars)
+
+    monkeypatch.setattr(standard_basis, "_complete", recording)
+    d = derive(p(family[0]), p(family[1]))
+    run(p(family[0]), p(family[1]))
+    germs = [tuple(tuple(sorted(g.terms.items())) for g in germ.generators)
+             for germ in (d.f0, d.d0, d.d1, d.d2)]
+    assert all(germ in completed for germ in germs)
+    assert len(completed) == len(set(completed))
 
 
 def test_cusp_degree_formula():
@@ -148,21 +187,6 @@ def test_t_reversal_swaps_sigma():
                              base.sigma[0], base.sigma[1])
 
 
-# generated families with a nonzero sigma, pinned as text:
-# perfbench.workloads.screen_families(1) at 63 and 102,
-# screen_families(2) at 10, 40, 78 and 108, and screen_families(1) at 98,
-# whose completion stalled while reductions took the shortest reducer
-GENERATED_FAMILIES = [
-    ("-x1^3 - 3*t*x1*x2 - x1^2*x2 + 2*x2^3", "2*t - x2 + 2*x1^2*x2"),
-    ("-3*x1 + 3*t*x2 - 2*x2^2", "2*t^2 - 2*t*x1*x2 - x1^2*x2 + 3*x2^3"),
-    ("2*x1*x2 - t^3", "x1^2 - 2*t^2*x2 - 2*x2^3"),
-    ("-x1 - x1*x2 + 2*t^3", "-3*x1 - 3*x1^2*x2 + 2*t*x2^2 - 2*x2^3"),
-    ("-2*x1^2 - t*x2 - 2*x2^3", "-2*x1 + 3*x1*x2 - 3*x2^3"),
-    ("t - 3*x1*x2", "x2 + 3*x1^2 + 2*x1^2*x2 - 2*t*x2^2"),
-    ("3*t - t*x1 - x1*x2 - 3*x1^3", "-3*t*x1 + x1^2 + 2*x1^2*x2 + 3*x2^3"),
-]
-
-
 @pytest.mark.parametrize("family", [EX1, *CRAFTED_FAMILIES, *GENERATED_FAMILIES])
 def test_degree_identities_under_coordinate_changes(family):
     f1, f2 = p(family[0]), p(family[1])
@@ -191,8 +215,8 @@ def test_t_zero_germs_match_their_restrictions(family):
     grad_x = (partial(d.J, 1), partial(d.J, 2))
     for germ, g, dim in ((d.f0, (d.f1, d.f2), h.dim_t_f1_f2),
                          (d.d0, grad_x, h.dim_t_gradJ)):
-        cert = local_degree(germ)
-        reference = local_degree([set_t_zero(c) for c in g])
+        cert = germ_degree(germ.generators)
+        reference = germ_degree([set_t_zero(c) for c in g])
         assert cert.degree == reference.degree
         assert cert.algebra_dim == reference.algebra_dim == dim
 

@@ -5,7 +5,9 @@ from math import gcd
 
 import pytest
 
-from cuspcount.elk_degree import build_algebra, local_degree
+from cuspcount import elk_degree
+from cuspcount.cusp_pipeline import run
+from cuspcount.elk_degree import build_algebra
 from cuspcount.errors import (
     DimensionInfinite,
     ExponentOverflow,
@@ -28,6 +30,7 @@ from cuspcount.standard_basis import (
     INFINITE,
     LocalAlgebra,
     LocalIdeal,
+    _box,
     _divides,
     _Elem,
     _hreduce,
@@ -36,7 +39,7 @@ from cuspcount.standard_basis import (
     _staircase,
 )
 
-from support import EX1, random_origin_poly, random_poly
+from support import EX1, EX2, germ_degree, random_origin_poly, random_poly
 
 
 def p(text, vars=VARS_TX):
@@ -192,6 +195,34 @@ def test_staircase_with_truncation_matches_enumeration():
         assert [unpack_monomial(m, nvars) for m in got] == sorted(
             expected, key=monomial_sort_key
         ), (leads, trunc)
+
+
+def test_box_is_the_staircase_of_no_leads_descending():
+    for nvars in range(1, 5):
+        for n in range(1, 26):
+            assert _box(nvars, n) == _staircase((), nvars, n)[::-1], (nvars, n)
+
+
+def test_socle_pairing_is_the_dense_table_on_ex2(monkeypatch):
+    # rows stop at their degree cut and are padded with zeros: entry for
+    # entry the table read at every product, on EX2's largest algebras
+    algebras = []
+
+    def recording(ideal):
+        algebra = build_algebra(ideal)
+        algebras.append(algebra)
+        return algebra
+
+    monkeypatch.setattr(elk_degree, "build_algebra", recording)
+    run(p(EX2[0]), p(EX2[1]))
+    large = [a for a in algebras if a.dim in (122, 238)]
+    assert sorted(a.dim for a in large) == [122, 122, 238, 238]
+    for a in large:
+        st = a._staircase
+        table, _ = a.functional_table(st[-1])
+        assert a.socle_pairing() == [
+            [table.get(mi + mj, 0) for mj in st] for mi in st
+        ], a.dim
 
 
 def _divides_tuple(a, b):
@@ -351,7 +382,7 @@ def _zero_dim_ideal(rng, vars):
 
 
 def test_algebra_names_a_monomial_no_reducer_covers():
-    algebra = build_algebra([p("x1^2", VARS_X), p("x2^2", VARS_X)])
+    algebra = build_algebra(LocalIdeal([p("x1^2", VARS_X), p("x2^2", VARS_X)]))
     # without the reducer of x1^2, x1^2 is neither standard nor reducible
     algebra._reducers = [r for r in algebra._reducers
                          if r.lm != pack_monomial((2, 0))]
@@ -374,7 +405,7 @@ def test_membership_agrees_with_algebra_coordinates():
         ideal = LocalIdeal(gens)
         if ideal.quotient_dim() == INFINITE:
             continue
-        algebra = build_algebra(gens)
+        algebra = build_algebra(LocalIdeal(gens))
         for _ in range(4):
             q = random_poly(rng, vars, max_deg=3, n_terms=3)
             if rng.random() < 0.5:
@@ -555,7 +586,7 @@ def test_zero_ideal():
     with pytest.raises(DimensionInfinite):
         ideal.cobasis()
     with pytest.raises(NotAlgebraicallyIsolated):
-        local_degree([zero, p("x2", VARS_X)])
+        germ_degree([zero, p("x2", VARS_X)])
 
 
 def test_unit_ideal():
