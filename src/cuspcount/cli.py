@@ -5,8 +5,8 @@
 
 Exit codes: 0 on success, 2 when the input family fails one of the method's
 hypotheses (the failing condition is named on stderr), 1 on usage or parse
-errors, 3 on an internal error such as computed quantities that contradict
-each other (the pipeline stage is named on stderr).
+errors, 3 on any internal error, such as computed quantities that contradict
+each other (the pipeline stage and the error's type are named on stderr).
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from dataclasses import asdict
 
 from .branch_counter import DEFAULT_XI_CAP
 from .cusp_pipeline import BifurcationReport, run
-from .errors import CuspCountError, HypothesisError, ParseError, PipelineError
+from .errors import HypothesisError, ParseError, PipelineError
 from .exprparse import EXPONENT_CAP, NESTING_CAP, parse_poly
 
 GRAMMAR_HELP = f"""\
@@ -235,10 +235,11 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(e.cause, HypothesisError):
             print(f"analysis failed: {e}", file=sys.stderr)
             return 2
-        print(f"internal error in stage {e.stage!r}: {e.cause}", file=sys.stderr)
-        return 3
-    except CuspCountError as e:
-        print(f"internal error: {e}", file=sys.stderr)
+        print(
+            f"internal error in stage {e.stage!r}: "
+            f"{type(e.cause).__name__}: {e.cause}",
+            file=sys.stderr,
+        )
         return 3
 
     print(render_json(report) if args.json else render_text(report))

@@ -38,7 +38,6 @@ from .branch_counter import (
 )
 from .elk_degree import local_degree
 from .errors import (
-    CuspCountError,
     HypothesisFailed,
     InconsistentSystem,
     JNotVanishing,
@@ -175,26 +174,26 @@ def verify_hypotheses(d: DerivedGerms) -> HypothesisReport:
     """
     t = Poly.variable("t", VARS_TX)
     checks = [
-        ("dim O/<t,f1,f2>", d.f0),
-        ("dim O/<t,F1,F2>", LocalIdeal([t, d.F1, d.F2])),
-        ("dim O/<t,dJ/dx1,dJ/dx2>", d.d0),
-        ("dim O/I'", LocalIdeal([
+        ("dim_t_f1_f2", "dim O/<t,f1,f2>", d.f0),
+        ("dim_t_F1_F2", "dim O/<t,F1,F2>", LocalIdeal([t, d.F1, d.F2])),
+        ("dim_t_gradJ", "dim O/<t,dJ/dx1,dJ/dx2>", d.d0),
+        ("dim_I_prime", "dim O/I'", LocalIdeal([
             d.J, d.F1, d.F2,
             jacobian2(d.F1, d.J, 1, 2),
             jacobian2(d.F2, d.J, 1, 2),
         ])),
-        ("dim O/<d1 components>", d.d1),
-        ("dim O/<d2 components>", d.d2),
-        ("dim O/I''", curve_criterion_ideal(d.F1, d.F2)),
-        ("dim Q", LocalIdeal([t, d.J, d.F1, d.F2])),
+        ("dim_d1_ideal", "dim O/<d1 components>", d.d1),
+        ("dim_d2_ideal", "dim O/<d2 components>", d.d2),
+        ("dim_I_dblprime", "dim O/I''", curve_criterion_ideal(d.F1, d.F2)),
+        ("dim_Q", "dim Q", LocalIdeal([t, d.J, d.F1, d.F2])),
     ]
-    dims = []
-    for name, ideal in checks:
+    dims = {}
+    for field, name, ideal in checks:
         value = ideal.quotient_dim()
         if value == INFINITE:
             raise HypothesisFailed(name)
-        dims.append(int(value))
-    return HypothesisReport(*dims, J_vanishes=(d.J.constant_term() == 0))
+        dims[field] = int(value)
+    return HypothesisReport(**dims, J_vanishes=(d.J.constant_term() == 0))
 
 
 def cusp_degree(deg_f0: int, deg_d1: int, deg_d2: int, t_sign: int) -> int:
@@ -267,12 +266,14 @@ def run(
     seed: int = 0,
     xi_cap: int = DEFAULT_XI_CAP,
 ) -> BifurcationReport:
-    """Run the whole pipeline; every stage's error is tagged with its name."""
+    """Run the whole pipeline; every stage's error is tagged with its name:
+    any Exception a stage raises comes out as a PipelineError whose cause
+    it is."""
 
     def stage(name, fn, *args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except CuspCountError as e:
+        except Exception as e:
             raise PipelineError(name, e) from e
 
     derived = stage("derive", derive, f1, f2)

@@ -121,10 +121,6 @@ class _Parser:
         poly = self.expr()
         kind, value, at = self.peek()
         if kind != "END":
-            if kind in ("NAME", "NUM") or value == "(":
-                raise ParseError(
-                    "adjacent factors need an explicit '*'", at
-                )
             raise ParseError(f"unexpected {value!r}", at)
         return self.check_coefficients(poly, 0)
 
@@ -180,8 +176,6 @@ class _Parser:
         if kind == "OP" and value == "^":
             self.advance()
             kind, value, at = self.peek()
-            if kind == "OP" and value == "-":
-                raise ParseError("exponent must be a non-negative integer", at)
             if kind != "NUM":
                 raise ParseError("exponent must be a non-negative integer", at)
             self.advance()

@@ -359,15 +359,16 @@ def _complete(gens: list[dict[int, int]], nvars: int) -> _Core:
     trunc: int | None = None
     lim = (MAX_DEGREE + 1) << shift  # packed truncation bound
     unit = _Core([_Elem({0: 1}, 0, 0, shift)], 0, ())
+    # a generator with a constant term is a unit; generators without one
+    # only ever make terms of x-degree >= 1, so no later lead is 1
+    if any(0 in g for g in gens):
+        return unit
 
-    def add(terms: dict[int, int], d: int) -> bool:
-        """Returns True when the dehomogenized ideal is the whole local ring."""
+    def add(terms: dict[int, int], d: int) -> None:
         nonlocal trunc, lim
         if min(terms) >= lim:
-            return False
+            return
         e = _Elem(_primitive(terms), d, len(elems), shift)
-        if e.lm == 0:
-            return True
         for j, other in enumerate(elems):
             lcm = _lcm(e.lm, other.lm, guards, shift)
             heapq.heappush(
@@ -388,11 +389,9 @@ def _complete(gens: list[dict[int, int]], nvars: int) -> _Core:
                 # the basis gains monomials of degree trunc
                 check_degree(trunc)
                 lim = trunc << shift
-        return False
 
     for g in gens:
-        if add(g, max(g) >> shift):
-            return unit
+        add(g, max(g) >> shift)
 
     while pairs:
         d_sp, lcm, i, j = heapq.heappop(pairs)
@@ -426,8 +425,7 @@ def _complete(gens: list[dict[int, int]], nvars: int) -> _Core:
         if not nf:
             continue
         # add() makes the remainder primitive
-        if add(nf, d_sp):
-            return unit
+        add(nf, d_sp)
 
     # keep only elements with minimal lead monomials below the bound
     final = [e for e in elems if e.lm < lim]

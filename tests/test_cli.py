@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from cuspcount import cli
+from cuspcount import cli, cusp_pipeline
 from cuspcount.cli import main, render_json, report_to_dict
 from cuspcount.cusp_pipeline import run
 from cuspcount.errors import NegativeBranchCount, PipelineError
@@ -72,6 +72,24 @@ def test_internal_error_is_not_a_hypothesis_failure(capsys, monkeypatch):
     assert "internal error" in err
     assert "count_branches" in err
     assert "b0 = deg(H+) - deg(H-) = -2" in err
+
+
+def test_any_error_in_a_stage_is_an_internal_error(capsys, monkeypatch):
+    # an error outside the package's hierarchy is a bug too: run() tags it
+    # with its stage, and the CLI reports it as such without a traceback
+    def broken_solve(*args):
+        return 1 // 0
+
+    monkeypatch.setattr(cusp_pipeline, "solve_sigma", broken_solve)
+    with pytest.raises(PipelineError) as e:
+        run(parse_poly(EX1[0]), parse_poly(EX1[1]))
+    assert e.value.stage == "solve_sigma"
+    assert isinstance(e.value.cause, ZeroDivisionError)
+    code, out, err = run_cli(capsys, "analyze", "--f1", EX1[0], "--f2", EX1[1])
+    assert code == 3
+    assert out == ""
+    assert "internal error in stage 'solve_sigma': ZeroDivisionError" in err
+    assert "Traceback" not in err
 
 
 def test_jacobian_class_off_the_socle_is_an_internal_error(capsys, monkeypatch):
@@ -320,6 +338,13 @@ def test_report_matches_golden(capsys, flags, golden):
     code, out, _ = run_cli(capsys, "analyze", "--f1", EX1[0], "--f2", EX1[1], *flags)
     assert code == 0
     assert out == (GOLDEN / golden).read_bytes().decode("utf-8")
+
+
+def test_verbose_echoes_the_family_to_stderr_only(capsys):
+    code, out, err = run_cli(capsys, "analyze", "--f1", EX1[0], "--f2", EX1[1], "-v")
+    assert code == 0
+    assert out == (GOLDEN / "ex1.txt").read_bytes().decode("utf-8")
+    assert err == "analyzing f = (t*x1 + x2^2 + x1^3, x1*x2)\n"
 
 
 def test_analysis_runs_in_a_worker_process():

@@ -91,9 +91,11 @@ def test_unknown_identifier():
 
 
 def test_negative_exponent_rejected():
-    with pytest.raises(ParseError) as e:
-        parse_poly("x1^-2")
-    assert "non-negative" in str(e.value)
+    # any token after '^' but an integer literal is rejected where it stands
+    for text in ("x1^-2", "x1^x2", "x1^(2)"):
+        with pytest.raises(ParseError, match="exponent must be a non-negative integer") as e:
+            parse_poly(text)
+        assert e.value.position == 3
 
 
 def test_exponent_cap():
