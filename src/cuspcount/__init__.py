@@ -33,7 +33,6 @@ from .polyring import (
     Poly,
     VARS_TX,
     VARS_X,
-    jacobian2,
     jacobian_det,
     partial,
     substitute_t_squared,
@@ -66,7 +65,6 @@ __all__ = [
     "cusp_degree",
     "derive",
     "euler_extras",
-    "jacobian2",
     "jacobian_det",
     "local_degree",
     "parse_poly",

@@ -33,7 +33,6 @@ from .errors import NegativeBranchCount, OddBPrime, XiSearchExceededBound
 from .polyring import (
     Poly,
     expand_first_row,
-    jacobian2,
     jacobian_cofactors,
     substitute_t_squared,
 )
@@ -57,13 +56,9 @@ class BranchCount:
 def curve_criterion_ideal(g1: Poly, g2: Poly) -> LocalIdeal:
     """The ideal certifying that V(g1, g2) is a curve with an algebraically
     isolated singularity: g1, g2 and the three 2x2 minors of their derivative
-    matrix with respect to (t, x1, x2)."""
-    return LocalIdeal([
-        g1, g2,
-        jacobian2(g1, g2, 0, 1),
-        jacobian2(g1, g2, 0, 2),
-        jacobian2(g1, g2, 1, 2),
-    ])
+    matrix with respect to (t, x1, x2): the cofactors of (g1, g2), reversed
+    into d/d(t,x1), -d/d(t,x2), d/d(x1,x2)."""
+    return LocalIdeal([g1, g2, *reversed(jacobian_cofactors([g1, g2]))])
 
 
 def choose_combination(w1: Poly, w2: Poly, w3: Poly) -> tuple[Poly, Poly, Poly]:

@@ -4,7 +4,9 @@ Given f = (f1, f2) in variables (t, x1, x2) with f(0) = 0, the pipeline
 
   1. derives J = d(f1,f2)/d(x1,x2), F_i = d(f_i,J)/d(x1,x2) and the germs
      f0 = (t, f1, f2), d0 = (t, J_x1, J_x2), d1 = (J_t, J_x1, J_x2) and
-     d2 = (J, J_x1, J_x2); (t, g) has the local degree of g(0, .);
+     d2 = (J, J_x1, J_x2); (t, g) has the local degree of g(0, .).  Every
+     Jacobian and minor is a first-row expansion over cofactors: J is
+     jacobian_det([f1, f2, t]), and F_i expands f_i along those of (J, t);
   2. certifies every required finiteness hypothesis by quotient dimensions
      (algebraic isolation: finite codimension of the complexified zero);
   3. computes the local degrees of f0, d0, d1, d2;
@@ -49,8 +51,8 @@ from .polyring import (
     Poly,
     VARS_TX,
     expand_first_row,
-    jacobian2,
     jacobian_cofactors,
+    jacobian_det,
     partial,
 )
 from .standard_basis import INFINITE, LocalIdeal
@@ -66,6 +68,11 @@ class DerivedGerms:
     once: verify_hypotheses reads its dimension and the degree stage its
     algebra from the same completion.  jac_f0, ..., jac_d2 are their
     Jacobian determinants.
+
+    J_cofactors, the cofactors of (J, t), are built once: expanding p along
+    them gives d(p, J)/d(x1, x2).  So F_i is f_i expanded along them, and
+    verify_hypotheses expands F_i along them for the two further generators
+    of I'.
     """
 
     f1: Poly
@@ -73,6 +80,7 @@ class DerivedGerms:
     J: Poly
     F1: Poly
     F2: Poly
+    J_cofactors: tuple[Poly, Poly, Poly]
     f0: LocalIdeal
     d0: LocalIdeal
     d1: LocalIdeal
@@ -136,16 +144,17 @@ def derive(f1: Poly, f2: Poly) -> DerivedGerms:
         raise ValueError(f"input germs must live in {VARS_TX}")
     if f1.constant_term() != 0 or f2.constant_term() != 0:
         raise OriginNotMapped("f must map the origin to the origin")
-    J = jacobian2(f1, f2, 1, 2)
+    t = Poly.variable("t", VARS_TX)
+    J = jacobian_det([f1, f2, t])
     if J.constant_term() != 0:
         raise JNotVanishing(
             "J(0) != 0: f_0 is regular at the origin, no degenerate point "
             "to analyze"
         )
-    F1 = jacobian2(f1, J, 1, 2)
-    F2 = jacobian2(f2, J, 1, 2)
+    J_cofactors = tuple(jacobian_cofactors([J, t]))
+    F1 = expand_first_row(f1, J_cofactors)
+    F2 = expand_first_row(f2, J_cofactors)
     Jt, Jx1, Jx2 = partial(J, 0), partial(J, 1), partial(J, 2)
-    t = Poly.variable("t", VARS_TX)
     f0 = LocalIdeal([t, f1, f2])
     # partials of J need not vanish at the origin; an empty zero set near the
     # origin is legitimate for the d-germs and yields degree 0
@@ -157,7 +166,7 @@ def derive(f1: Poly, f2: Poly) -> DerivedGerms:
     # serves all three
     cofactors = jacobian_cofactors([Jx1, Jx2])
     return DerivedGerms(
-        f1, f2, J, F1, F2, f0, d0, d1, d2,
+        f1, f2, J, F1, F2, J_cofactors, f0, d0, d1, d2,
         jac_f0=J,
         jac_d0=expand_first_row(t, cofactors),
         jac_d1=expand_first_row(Jt, cofactors),
@@ -179,8 +188,8 @@ def verify_hypotheses(d: DerivedGerms) -> HypothesisReport:
         ("dim_t_gradJ", "dim O/<t,dJ/dx1,dJ/dx2>", d.d0),
         ("dim_I_prime", "dim O/I'", LocalIdeal([
             d.J, d.F1, d.F2,
-            jacobian2(d.F1, d.J, 1, 2),
-            jacobian2(d.F2, d.J, 1, 2),
+            expand_first_row(d.F1, d.J_cofactors),
+            expand_first_row(d.F2, d.J_cofactors),
         ])),
         ("dim_d1_ideal", "dim O/<d1 components>", d.d1),
         ("dim_d2_ideal", "dim O/<d2 components>", d.d2),

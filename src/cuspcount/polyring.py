@@ -5,9 +5,11 @@ numerators over one positive int denominator.  Every operation is exact;
 nothing is ever rounded.  Every germ of the analysis lives in
 ``("t", "x1", "x2")``, but the arithmetic is generic in the variable tuple.
 
-Jacobian determinants are expanded along the first row, from the
-cofactors of the rows below it (jacobian_cofactors), so maps that differ
-only in their first component share one set of cofactors.
+Every Jacobian determinant and 2x2 minor is a first-row expansion
+(expand_first_row) over the cofactors of the rows below it
+(jacobian_cofactors), so maps that differ only in their first component
+share one set of cofactors.  d(p, q)/d(x1, x2) is jacobian_det([p, q, t]),
+and the cofactors of (p, q) are the signed minors of d(p, q)/d(t, x1, x2).
 
 The term order used for serialization (and everywhere else in the package)
 is the anti-degree reverse-lexicographic local order: lower total degree
@@ -92,14 +94,18 @@ class Poly:
     ):
         """terms maps exponent tuples to int or Fraction coefficients."""
         vars = tuple(vars)
+        if len(set(vars)) != len(vars):
+            raise ValueError(f"repeated variable in the ambient {vars}")
         fracs: dict[int, Fraction] = {}
         for mono, c in (terms or {}).items():
             if not isinstance(c, (int, Fraction)):
                 raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
             mono = tuple(mono)
-            if len(mono) != len(vars) or min(mono, default=0) < 0 or sum(mono) > MAX_DEGREE:
+            ok = len(mono) == len(vars) and all(isinstance(e, int) and e >= 0 for e in mono)
+            if not ok or sum(mono) > MAX_DEGREE:
                 raise ValueError(
-                    f"bad exponent vector {mono} for {vars} (degree at most {MAX_DEGREE})"
+                    f"bad exponent vector {mono} for {vars} (non-negative ints, "
+                    f"degree at most {MAX_DEGREE})"
                 )
             if c:
                 fracs[pack_monomial(mono)] = Fraction(c)
@@ -292,14 +298,6 @@ def det(rows: Sequence[Sequence]):
     return total
 
 
-def jacobian2(p: Poly, q: Poly, v1: int, v2: int) -> Poly:
-    """The 2x2 Jacobian determinant d(p,q)/d(v1,v2)."""
-    if v1 == v2:
-        raise ValueError("jacobian2 needs two distinct variables")
-    p._check_same_ambient(q)
-    return det([[partial(p, v1), partial(p, v2)], [partial(q, v1), partial(q, v2)]])
-
-
 def jacobian_cofactors(rest: Sequence[Poly]) -> list[Poly]:
     """The cofactors c_j of the first row of the derivative matrix of a
     square map (p, *rest).  They do not depend on p: the map's Jacobian
@@ -318,12 +316,12 @@ def jacobian_cofactors(rest: Sequence[Poly]) -> list[Poly]:
 
 def expand_first_row(p: Poly, cofactors: Sequence[Poly]) -> Poly:
     """The sum of d p/d v_j * cofactors[j]: the Jacobian determinant of the
-    map (p, *rest), for the cofactors jacobian_cofactors(rest)."""
+    map (p, *rest), for the cofactors jacobian_cofactors(rest).  The partial
+    along a zero cofactor is never taken."""
     if len(cofactors) != len(p.vars):
         raise ValueError("expand_first_row needs one cofactor per variable")
-    return sum(
-        (partial(p, j) * c for j, c in enumerate(cofactors)), Poly.zero(p.vars)
-    )
+    terms = (partial(p, j) * c for j, c in enumerate(cofactors) if c.terms)
+    return sum(terms, Poly.zero(p.vars))
 
 
 def jacobian_det(components: Sequence[Poly]) -> Poly:

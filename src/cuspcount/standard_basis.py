@@ -358,11 +358,10 @@ def _complete(gens: list[dict[int, int]], nvars: int) -> _Core:
     done: set[tuple[int, int]] = set()
     trunc: int | None = None
     lim = (MAX_DEGREE + 1) << shift  # packed truncation bound
-    unit = _Core([_Elem({0: 1}, 0, 0, shift)], 0, ())
     # a generator with a constant term is a unit; generators without one
     # only ever make terms of x-degree >= 1, so no later lead is 1
     if any(0 in g for g in gens):
-        return unit
+        return _Core([_Elem({0: 1}, 0, 0, shift)], 0, ())
 
     def add(terms: dict[int, int], d: int) -> None:
         nonlocal trunc, lim

@@ -1,13 +1,15 @@
 """Shared helpers for the test suite: random polynomial generation, changes
-of coordinates, the restriction to t = 0, an independent random combination
-search, and the two worked families used as regression anchors."""
+of coordinates, the restriction to t = 0, reference determinants and
+minors, an independent random combination search, and the two worked
+families used as regression anchors."""
 
 import random
 from fractions import Fraction
+from itertools import permutations
 
 from cuspcount.branch_counter import curve_criterion_ideal
 from cuspcount.elk_degree import DegreeCertificate, local_degree
-from cuspcount.polyring import Poly, det, jacobian_det
+from cuspcount.polyring import Poly, det, jacobian_det, partial
 from cuspcount.standard_basis import INFINITE, LocalIdeal
 
 EX1 = ("x1^3 + x2^2 + t*x1", "x1*x2")
@@ -70,6 +72,34 @@ def random_origin_poly(rng, vars, **kw) -> Poly:
         p = p - Poly.constant(p.constant_term(), vars)
         if not p.is_zero():
             return p
+
+
+def leibniz_det(rows):
+    """Reference determinant: the sum over all permutations, each product
+    signed by the parity of its inversions."""
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i in range(n):
+            term = term * rows[i][perm[i]]
+        total = total + term
+    return total
+
+
+def minor(p: Poly, q: Poly, v1: int, v2: int) -> Poly:
+    """Reference 2x2 minor d(p, q)/d(v1, v2), v1 and v2 variable indices:
+    the Leibniz determinant of the partials."""
+    return leibniz_det([[partial(p, v1), partial(p, v2)],
+                        [partial(q, v1), partial(q, v2)]])
+
+
+def reference_cusp_triple(f1: Poly, f2: Poly) -> tuple[Poly, Poly, Poly]:
+    """(J, F1, F2) of f = (f1, f2) in (t, x1, x2), from reference minors:
+    J = d(f1,f2)/d(x1,x2) and F_i = d(f_i,J)/d(x1,x2)."""
+    J = minor(f1, f2, 1, 2)
+    return J, minor(f1, J, 1, 2), minor(f2, J, 1, 2)
 
 
 def germ_degree(germ) -> DegreeCertificate:

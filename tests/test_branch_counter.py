@@ -17,7 +17,6 @@ from cuspcount.exprparse import parse_poly
 from cuspcount.polyring import (
     Poly,
     VARS_TX,
-    jacobian2,
     jacobian_det,
     substitute_t_squared,
 )
@@ -30,6 +29,7 @@ from support import (
     GENERATED_FAMILIES,
     flip_t,
     random_combination,
+    reference_cusp_triple,
 )
 
 # generated families with odd xi: perfbench.workloads.screen_families(1)[18]
@@ -47,9 +47,7 @@ def p(text):
 
 def cusp_triple(family):
     """(J, F1, F2) of the family f = (f1, f2)."""
-    f1, f2 = p(family[0]), p(family[1])
-    J = jacobian2(f1, f2, 1, 2)
-    return J, jacobian2(f1, J, 1, 2), jacobian2(f2, J, 1, 2)
+    return reference_cusp_triple(p(family[0]), p(family[1]))
 
 
 def ex1_triple():

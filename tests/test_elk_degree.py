@@ -21,7 +21,6 @@ from cuspcount.polyring import (
     Poly,
     VARS_TX,
     VARS_X,
-    jacobian2,
     jacobian_det,
     pack_monomial,
     partial,
@@ -35,6 +34,7 @@ from support import (
     EX1,
     EX2,
     germ_degree,
+    minor,
     random_origin_poly,
     set_t_zero,
 )
@@ -459,7 +459,7 @@ def test_degree_trivial_germs():
 
 def test_degree_worked_family():
     f1, f2 = p3(EX1[0]), p3(EX1[1])
-    J = jacobian2(f1, f2, 1, 2)
+    J = minor(f1, f2, 1, 2)
     assert germ_degree([set_t_zero(f1), set_t_zero(f2)]).degree == -1
     assert germ_degree([partial(J, 0), partial(J, 1), partial(J, 2)]).degree == 1
     assert germ_degree([J, partial(J, 1), partial(J, 2)]).degree == -1

@@ -30,6 +30,8 @@ from support import (
     compose,
     flip_t,
     germ_degree,
+    minor,
+    reference_cusp_triple,
     set_t_zero,
     swap_x,
 )
@@ -55,6 +57,34 @@ def test_derived_jacobians_match_jacobian_det(family):
     for germ, jacobian in ((d.f0, d.jac_f0), (d.d0, d.jac_d0),
                            (d.d1, d.jac_d1), (d.d2, d.jac_d2)):
         assert jacobian == jacobian_det(germ.generators)
+
+
+@pytest.mark.parametrize("family", [EX1, EX2, *CRAFTED_FAMILIES, *GENERATED_FAMILIES])
+def test_minors_match_the_leibniz_reference(family, monkeypatch):
+    # J, F_i, the generators of I' and those of I'' are first-row expansions
+    # over cofactors; each matches its 2x2 Leibniz minor up to sign, in the
+    # order d/d(t,x1), d/d(t,x2), d/d(x1,x2) for I''
+    f1, f2 = p(family[0]), p(family[1])
+    J, F1, F2 = reference_cusp_triple(f1, f2)
+    ideals = []
+
+    def recording(ideal):
+        ideals.append(ideal.generators)
+        return 1
+
+    d = derive(f1, f2)
+    monkeypatch.setattr(standard_basis.LocalIdeal, "quotient_dim", recording)
+    verify_hypotheses(d)
+    expected = [
+        [J, F1, F2, minor(F1, J, 1, 2), minor(F2, J, 1, 2)],
+        [F1, F2, minor(F1, F2, 0, 1), minor(F1, F2, 0, 2), minor(F1, F2, 1, 2)],
+    ]
+    i_prime = [gens for gens in ideals if gens[:3] == (d.J, d.F1, d.F2)]
+    i_dblprime = [gens for gens in ideals if gens[:2] == (d.F1, d.F2)]
+    assert [d.J, d.F1, d.F2] == [J, F1, F2]
+    for found, reference in zip((i_prime, i_dblprime), expected):
+        assert len(found) == 1 and len(found[0]) == len(reference)
+        assert all(g in (r, -r) for g, r in zip(found[0], reference))
 
 
 def test_derive_rejects_regular_germ():

@@ -14,14 +14,15 @@ from cuspcount.polyring import (
     VARS_TX,
     VARS_X,
     det,
-    jacobian2,
+    expand_first_row,
+    jacobian_cofactors,
     jacobian_det,
     partial,
     substitute_t_squared,
 )
 from cuspcount.exprparse import parse_poly
 
-from support import flip_t, random_poly, set_t_zero
+from support import flip_t, leibniz_det, minor, random_poly, set_t_zero
 
 
 def p(text, vars=VARS_TX):
@@ -43,23 +44,25 @@ def test_partial_bad_index():
         partial(p("x1"), 5)
 
 
-def test_jacobian2_identity_map():
-    assert jacobian2(p("x1"), p("x2"), 1, 2) == p("1")
+def test_padded_jacobian_identity_map():
+    # d(a, b)/d(x1, x2) is the Jacobian of the map (a, b, t)
+    assert jacobian_det([p("x1"), p("x2"), p("t")]) == p("1")
 
 
-def test_jacobian2_worked_family():
+def test_padded_jacobian_worked_family():
     # d(f1,f2)/d(x1,x2) for f = (x1^3 + x2^2 + t*x1, x1*x2)
-    J = jacobian2(p("x1^3 + x2^2 + t*x1"), p("x1*x2"), 1, 2)
+    J = jacobian_det([p("x1^3 + x2^2 + t*x1"), p("x1*x2"), p("t")])
     assert J == p("3*x1^3 + t*x1 - 2*x2^2")
 
 
-def test_jacobian2_antisymmetry_and_diagonal():
+def test_padded_jacobian_antisymmetry_and_diagonal():
     rng = random.Random(11)
+    t = p("t")
     for _ in range(25):
         a = random_poly(rng, VARS_TX)
         b = random_poly(rng, VARS_TX)
-        assert jacobian2(a, b, 1, 2) == -jacobian2(b, a, 1, 2)
-        assert jacobian2(a, a, 1, 2).is_zero()
+        assert jacobian_det([a, b, t]) == -jacobian_det([b, a, t])
+        assert jacobian_det([a, a, t]).is_zero()
 
 
 def test_jacobian3_trivial_diagonals():
@@ -67,20 +70,6 @@ def test_jacobian3_trivial_diagonals():
     assert jacobian_det([t, x1, x2]) == p("1")
     assert jacobian_det([t * t, x1, x2]) == p("2*t")
     assert jacobian_det([t + x1, x1, x2]) == p("1")
-
-
-def leibniz_det(rows):
-    """Reference determinant: the sum over all permutations, each product
-    signed by the parity of its inversions."""
-    n = len(rows)
-    total = 0
-    for perm in permutations(range(n)):
-        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-        term = -1 if inversions % 2 else 1
-        for i in range(n):
-            term = term * rows[i][perm[i]]
-        total = total + term
-    return total
 
 
 def test_det_matches_leibniz_on_integer_matrices():
@@ -105,12 +94,26 @@ def test_det_and_jacobians_match_leibniz_on_random_maps():
         expected = leibniz_det(rows)
         assert det(rows) == expected
         assert jacobian_det(comps) == expected
-        for a, b in permutations(comps, 2):
-            for v1, v2 in permutations(range(n), 2):
-                assert jacobian2(a, b, v1, v2) == leibniz_det([
-                    [partial(a, v1), partial(a, v2)],
-                    [partial(b, v1), partial(b, v2)],
-                ])
+        # each cofactor is the signed Leibniz minor of the rows below the
+        # first, without column j
+        for rest in permutations(comps, n - 1):
+            for j, c in enumerate(jacobian_cofactors(rest)):
+                below = [[partial(r, v) for v in range(n) if v != j] for r in rest]
+                assert c == (-1) ** j * leibniz_det(below)
+
+
+def test_expansion_skips_zero_cofactors():
+    # a constant row (t's, or a constant's) makes cofactors zero; the
+    # expansion must not depend on the partials it then never takes
+    rng = random.Random(16)
+    t, two = p("t"), p("2")
+    for _ in range(25):
+        # a depends on t, so d a/d t is nonzero where the cofactor is zero
+        a, b = random_poly(rng, VARS_TX) + t * t, random_poly(rng, VARS_TX)
+        cofactors = jacobian_cofactors([b, t])
+        assert cofactors[0].is_zero()
+        assert expand_first_row(a, cofactors) == minor(a, b, 1, 2)
+        assert jacobian_det([a, b, two]).is_zero()
 
 
 def test_substitute_t_squared_examples():
@@ -293,6 +296,19 @@ def test_pow_checks_the_degree_before_multiplying():
         p("x1^2") ** (MAX_DEGREE // 2 + 1)
     top = p("x1^2") ** (MAX_DEGREE // 2)
     assert top.sorted_terms() == [((0, MAX_DEGREE - 1, 0), 1)]
+
+
+def test_non_int_exponents_raise_value_error():
+    for mono in ((1.0, 0), ("1", 0)):
+        with pytest.raises(ValueError, match="bad exponent vector"):
+            Poly(VARS_X, {mono: 1})
+
+
+def test_repeated_variable_in_the_ambient_raises():
+    with pytest.raises(ValueError, match="repeated variable"):
+        Poly.variable("x1", ("x1", "x1"))
+    with pytest.raises(ValueError, match="repeated variable"):
+        Poly.zero(("t", "x1", "t"))
 
 
 def test_ambient_mismatch_raises():

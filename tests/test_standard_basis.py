@@ -22,7 +22,6 @@ from cuspcount.polyring import (
     VARS_TX,
     VARS_X,
     guard_bits,
-    jacobian2,
     pack_monomial,
     unpack_monomial,
 )
@@ -39,7 +38,15 @@ from cuspcount.standard_basis import (
     _staircase,
 )
 
-from support import EX1, EX2, germ_degree, random_origin_poly, random_poly
+from support import (
+    EX1,
+    EX2,
+    germ_degree,
+    minor,
+    random_origin_poly,
+    random_poly,
+    reference_cusp_triple,
+)
 
 
 def p(text, vars=VARS_TX):
@@ -72,10 +79,7 @@ def brute_staircase_count(gen_monos, nvars):
 
 def ex1_data():
     f1, f2 = p(EX1[0]), p(EX1[1])
-    J = jacobian2(f1, f2, 1, 2)
-    F1 = jacobian2(f1, J, 1, 2)
-    F2 = jacobian2(f2, J, 1, 2)
-    return f1, f2, J, F1, F2
+    return f1, f2, *reference_cusp_triple(f1, f2)
 
 
 def test_std_basis_already_a_basis():
@@ -122,7 +126,7 @@ def test_quotient_dim_worked_family_values():
     t = Poly.variable("t", VARS_TX)
     assert LocalIdeal([t, F1, F2]).quotient_dim() == 7
     i_prime = LocalIdeal([
-        J, F1, F2, jacobian2(F1, J, 1, 2), jacobian2(F2, J, 1, 2)
+        J, F1, F2, minor(F1, J, 1, 2), minor(F2, J, 1, 2)
     ])
     assert i_prime.quotient_dim() == 8
 
