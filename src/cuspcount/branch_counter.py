@@ -10,10 +10,15 @@ The count then goes through the auxiliary germs
 
     H(sign) = ( det d(g3 + sign*t^k, g1, g2)/d(t, x1, x2), g1, g2 )
 
-for any even k exceeding xi = min{ s : t^s * g3 in <g1, g2, g3^2> }.  The
-number of half-branches of V(g1, g2, g3) emanating from the origin is then
-deg(H+) - deg(H-), and running the same computation on the germs with t
+for any even k exceeding xi = min{ s : t^s * g3 in J2 }, J2 = <g1, g2, g3^2>.
+The number of half-branches of V(g1, g2, g3) emanating from the origin is
+then deg(H+) - deg(H-), and running the same computation on the germs with t
 replaced by t^2 counts twice the branches lying in t > 0.
+
+J2 itself is never completed.  Probe s decides t^s * g3 in J2 against
+K = J2 + <t^(s+1) * g3>: if t^s * g3 = j + a * t^(s+1) * g3 with j in J2,
+then (1 - a*t) * t^s * g3 = j, and 1 - a*t is a unit, so t^s * g3 lies in J2
+(Nakayama); the converse holds as J2 lies in K.
 
 The substituted system's xi is 2*xi, so it is not searched for.  Write g' for
 g with t replaced by t^2 and O' for the image of t -> t^2 in O.  For h(0) != 0
@@ -73,14 +78,25 @@ def choose_combination(w1: Poly, w2: Poly, w3: Poly) -> tuple[Poly, Poly, Poly]:
 
 
 def compute_xi(g1: Poly, g2: Poly, g3: Poly, cap: int = DEFAULT_XI_CAP) -> int:
-    """Smallest s with t^s * g3 in <g1, g2, g3^2>, by ascending search."""
-    j2 = LocalIdeal([g1, g2, g3 * g3])
+    """Smallest s with t^s * g3 in J2 = <g1, g2, g3^2>, by ascending search.
+
+    When V(g1, g2, g3) is a curve, J2 has infinite codimension, so its
+    completion has no truncation bound and its coefficients can swell past
+    any budget; it is never completed.  Probe s asks instead whether
+    t^s * g3 lies in K = <g1, g2, g3^2, t^(s+1) * g3>, which has the same
+    answer.  If t^s * g3 lies in J2, it lies in K, which contains J2.  If
+    t^s * g3 = j + a * t^(s+1) * g3 with j in J2, then
+    (1 - a*t) * t^s * g3 = j, and 1 - a*t is a unit of the local ring, so
+    t^s * g3 lies in J2 (Nakayama).
+    """
     t = Poly.variable("t", g1.vars)
-    power = Poly.constant(1, g1.vars)
+    j2 = [g1, g2, g3 * g3]
+    power = g3
     for s in range(cap + 1):
-        if j2.contains(power * g3):
+        following = power * t
+        if LocalIdeal([*j2, following]).contains(power):
             return s
-        power = power * t
+        power = following
     raise XiSearchExceededBound(
         f"t^s * g3 not in <g1, g2, g3^2> for any s <= {cap}; raise the cap or "
         "check the hypotheses"

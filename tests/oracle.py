@@ -18,29 +18,54 @@ import numpy as np
 from cuspcount.polyring import Poly
 
 
-def poly_evaluator(p: Poly):
-    """Vectorized evaluator: (N, nvars) float array -> (N,) values."""
-    if p.is_zero():
-        nv = len(p.vars)
-        return lambda x: np.zeros(np.asarray(x).shape[0])
-    terms = p.sorted_terms()
-    exps = np.array([m for m, _ in terms], dtype=np.int64)
-    coeffs = np.array([float(c) for _, c in terms])
+def _evaluator(polys):
+    """Vectorized evaluator of polynomials in one ambient: (N, nvars) float
+    array -> list of (N,) values, one per polynomial.
+
+    Each call builds one table of the powers x_v ** k, k up to the largest
+    exponent, and takes each term as the product of its variables' powers
+    in variable order."""
+    nv = len(polys[0].vars)
+    terms = [p.sorted_terms() for p in polys]
+    top = max((max(m) for ts in terms for m, _ in ts), default=0)
+    # row k is (k, ..., k); a whole row is one inner loop of the power, as
+    # an exponent tuple would be, so numpy takes the same power kernel
+    exps = np.repeat(np.arange(top + 1, dtype=np.int64)[:, None], nv, axis=1)
+    plans = [
+        (np.array([float(c) for _, c in ts]),
+         [np.array([m[v] for m, _ in ts], dtype=np.int64) for v in range(nv)])
+        for ts in terms
+    ]
 
     def ev(x):
         x = np.asarray(x, dtype=np.float64)
-        return (coeffs * np.prod(x[:, None, :] ** exps[None, :, :], axis=2)).sum(axis=1)
+        table = x[:, None, :] ** exps[None, :, :]
+        out = []
+        for coeffs, idx in plans:
+            # take() keeps each row contiguous, so a row sums in numpy's
+            # pairwise order; a column gather would sum it term by term
+            prod = table[:, :, 0].take(idx[0], axis=1)
+            for v in range(1, nv):
+                prod = prod * table[:, :, v].take(idx[v], axis=1)
+            out.append((coeffs * prod).sum(axis=1))
+        return out
 
     return ev
+
+
+def poly_evaluator(p: Poly):
+    """Vectorized evaluator: (N, nvars) float array -> (N,) values."""
+    ev = _evaluator([p])
+    return lambda x: ev(x)[0]
 
 
 def germ_evaluator(components):
-    evs = [poly_evaluator(c) for c in components]
+    ev = _evaluator(components)
 
-    def ev(x):
-        return np.stack([e(x) for e in evs], axis=1)
+    def germ(x):
+        return np.stack(ev(x), axis=1)
 
-    return ev
+    return germ
 
 
 def jacobian_evaluator(components):
@@ -48,17 +73,12 @@ def jacobian_evaluator(components):
 
     n = len(components)
     nv = len(components[0].vars)
-    evs = [[poly_evaluator(partial(c, j)) for j in range(nv)] for c in components]
+    ev = _evaluator([partial(c, j) for c in components for j in range(nv)])
 
-    def ev(x):
-        N = np.asarray(x).shape[0]
-        out = np.empty((N, n, nv))
-        for i in range(n):
-            for j in range(nv):
-                out[:, i, j] = evs[i][j](x)
-        return out
+    def jac(x):
+        return np.stack(ev(x), axis=1).reshape(-1, n, nv)
 
-    return ev
+    return jac
 
 
 def _batch_solve(a, b):

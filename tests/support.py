@@ -1,7 +1,8 @@
 """Shared helpers for the test suite: random polynomial generation, changes
 of coordinates, the restriction to t = 0, reference determinants and
-minors, an independent random combination search, and the two worked
-families used as regression anchors."""
+minors, an independent random combination search, the xi search over the
+completion of <g1, g2, g3^2>, and the two worked families used as
+regression anchors."""
 
 import random
 from fractions import Fraction
@@ -25,10 +26,19 @@ CRAFTED_FAMILIES = [
     ("x1^3 + x2^2 + t*x1", "2*x1*x2"),        # rescaled cubic
 ]
 
-# generated families with a nonzero sigma, pinned as text:
+# generated families whose completion of <g1, g2, g3^2> stalled when xi was
+# decided against it: perfbench.workloads.screen_families(1) at 83 (over
+# 20 s) and screen_families(2) at 28 (15 s); reference_xi cannot run on them
+J2_STALLS = [
+    ("2*x2 - 2*x1^2 + 3*t^2*x2 + x1*x2^2", "-t - 3*x1*x2 - x2^2 + t*x1*x2"),
+    ("3*t*x2 - 2*x1*x2 + t*x1^2 + x1*x2^2", "x2 + 2*x1^3 + 3*x1^2*x2"),
+]
+
+# generated families, pinned as text: with a nonzero sigma,
 # perfbench.workloads.screen_families(1) at 63 and 102,
 # screen_families(2) at 10, 40, 78 and 108, and screen_families(1) at 98,
-# whose completion stalled while reductions took the shortest reducer
+# whose completion stalled while reductions took the shortest reducer; then
+# the J2_STALLS, of sigma (1, 0, 1, 0) and (0, 0, 1, 1)
 GENERATED_FAMILIES = [
     ("-x1^3 - 3*t*x1*x2 - x1^2*x2 + 2*x2^3", "2*t - x2 + 2*x1^2*x2"),
     ("-3*x1 + 3*t*x2 - 2*x2^2", "2*t^2 - 2*t*x1*x2 - x1^2*x2 + 3*x2^3"),
@@ -37,6 +47,7 @@ GENERATED_FAMILIES = [
     ("-2*x1^2 - t*x2 - 2*x2^3", "-2*x1 + 3*x1*x2 - 3*x2^3"),
     ("t - 3*x1*x2", "x2 + 3*x1^2 + 2*x1^2*x2 - 2*t*x2^2"),
     ("3*t - t*x1 - x1*x2 - 3*x1^3", "-3*t*x1 + x1^2 + 2*x1^2*x2 + 3*x2^3"),
+    *J2_STALLS,
 ]
 
 
@@ -100,6 +111,17 @@ def reference_cusp_triple(f1: Poly, f2: Poly) -> tuple[Poly, Poly, Poly]:
     J = d(f1,f2)/d(x1,x2) and F_i = d(f_i,J)/d(x1,x2)."""
     J = minor(f1, f2, 1, 2)
     return J, minor(f1, J, 1, 2), minor(f2, J, 1, 2)
+
+
+def reference_xi(g1: Poly, g2: Poly, g3: Poly, cap: int = 64) -> int:
+    """Smallest s with t^s * g3 in <g1, g2, g3^2>, by ascending search over
+    the one completion of <g1, g2, g3^2>: the reference for compute_xi."""
+    j2 = LocalIdeal([g1, g2, g3 * g3])
+    t = Poly.variable("t", g1.vars)
+    for s in range(cap + 1):
+        if j2.contains(t**s * g3):
+            return s
+    raise AssertionError(f"t^s * g3 not in <g1, g2, g3^2> for any s <= {cap}")
 
 
 def germ_degree(germ) -> DegreeCertificate:

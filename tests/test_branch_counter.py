@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
-from cuspcount import branch_counter
+from cuspcount import branch_counter, standard_basis
 from cuspcount.branch_counter import (
     COMBINATION_MATRIX,
     build_H,
@@ -10,7 +15,7 @@ from cuspcount.branch_counter import (
     count_branches_positive_t,
     curve_criterion_ideal,
 )
-from cuspcount.cusp_pipeline import run
+from cuspcount.cusp_pipeline import derive, run
 from cuspcount.elk_degree import local_degree
 from cuspcount.errors import XiSearchExceededBound
 from cuspcount.exprparse import parse_poly
@@ -27,9 +32,11 @@ from support import (
     EX1,
     EX2,
     GENERATED_FAMILIES,
+    J2_STALLS,
     flip_t,
     random_combination,
     reference_cusp_triple,
+    reference_xi,
 )
 
 # generated families with odd xi: perfbench.workloads.screen_families(1)[18]
@@ -115,6 +122,81 @@ def test_xi_zero_when_g3_already_in_ideal():
 def test_xi_worked_family():
     J, F1, F2 = ex1_triple()
     assert compute_xi(F1, F2, J) == 2
+
+
+@pytest.mark.parametrize(
+    "family",
+    [EX1, EX2, *CRAFTED_FAMILIES,
+     *(f for f in GENERATED_FAMILIES if f not in J2_STALLS)],
+)
+def test_xi_probe_decides_membership_in_j2(family):
+    # compute_xi's probe s asks t^s * g3 in <g1, g2, g3^2, t^(s+1) * g3>;
+    # by Nakayama that is t^s * g3 in J2 = <g1, g2, g3^2>, which the
+    # reference decides over the completion of J2 itself
+    g1, g2, g3 = counted_triple(family)
+    xi = reference_xi(g1, g2, g3)
+    assert compute_xi(g1, g2, g3) == xi
+    j2 = LocalIdeal([g1, g2, g3 * g3])
+    t = Poly.variable("t", VARS_TX)
+    for s in range(xi + 2):
+        probe = LocalIdeal([g1, g2, g3 * g3, t ** (s + 1) * g3])
+        assert probe.contains(t**s * g3) == j2.contains(t**s * g3) == (s >= xi)
+
+
+@pytest.mark.parametrize("family", [EX1, EX2, *CRAFTED_FAMILIES])
+def test_j2_is_never_completed(family, monkeypatch):
+    # <g1, g2, g3^2> has no truncation bound, and its completion once
+    # stalled the analysis; neither it nor its t -> t^2 substitute is
+    # completed by run()
+    complete = standard_basis._complete
+    completed = set()
+
+    def recording(gens, nvars):
+        completed.add(tuple(tuple(sorted(g.items())) for g in gens))
+        return complete(gens, nvars)
+
+    monkeypatch.setattr(standard_basis, "_complete", recording)
+    d = derive(p(family[0]), p(family[1]))
+    run(p(family[0]), p(family[1]))
+    g = (d.F1, d.F2, d.J)
+    for g1, g2, g3 in (g, tuple(map(substitute_t_squared, g))):
+        j2 = tuple(tuple(sorted(h.terms.items())) for h in (g1, g2, g3 * g3))
+        assert j2 not in completed
+
+
+# compute_xi of a screen family, in a child process that a regression
+# cannot hang: the argument is the family (f1, f2)
+XI_IN_CHILD = """
+import sys
+from cuspcount.branch_counter import compute_xi
+from cuspcount.cusp_pipeline import derive
+from cuspcount.exprparse import parse_poly
+from cuspcount.polyring import VARS_TX
+d = derive(*(parse_poly(f, VARS_TX) for f in sys.argv[1:3]))
+print(compute_xi(d.F1, d.F2, d.J))
+"""
+
+
+@pytest.mark.parametrize("family, xi", [
+    # perfbench.workloads.screen_families(1)[82]: over 20 s against J2
+    (("-2*x2 - 2*t*x2 + x1^3 + 2*t*x2^2",
+      "3*x2 - 2*t^3 + 2*t^2*x1 - 3*x1*x2^2"), 2),
+    # screen_families(4)[10]: over 5 s against J2
+    (("-3*x2 - 2*x1^2 - t^2*x1 + t^2*x2",
+      "-2*x1*x2 - 3*t^2*x1 + 2*t*x1^2 - 3*x2^3"), 0),
+])
+def test_xi_of_families_that_stalled_against_j2(family, xi):
+    src = Path(branch_counter.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    try:
+        done = subprocess.run(
+            [sys.executable, "-c", XI_IN_CHILD, *family],
+            capture_output=True, text=True, timeout=30, env=env,
+        )
+    except subprocess.TimeoutExpired:
+        pytest.fail(f"compute_xi ran past 30 s on {family}")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == str(xi)
 
 
 def test_xi_cap_error():

@@ -28,7 +28,13 @@ from cuspcount.polyring import (
 )
 from cuspcount.standard_basis import LocalIdeal
 
-from oracle import germ_is_oracle_friendly, preimage_degree, winding_degree
+from oracle import (
+    germ_evaluator,
+    germ_is_oracle_friendly,
+    jacobian_evaluator,
+    preimage_degree,
+    winding_degree,
+)
 from support import (
     CRAFTED_FAMILIES,
     EX1,
@@ -36,6 +42,7 @@ from support import (
     germ_degree,
     minor,
     random_origin_poly,
+    random_poly,
     set_t_zero,
 )
 
@@ -640,6 +647,35 @@ def _random_isolated_germ(rng, vars, max_dim):
         if cert.algebra_dim > max_dim:
             continue
         return comps, cert
+
+
+def _termwise_values(p, x):
+    # the reference evaluation: every term's powers from its own exponent
+    # tuple, multiplied along the tuple, then the terms summed
+    terms = p.sorted_terms()
+    exps = np.array([m for m, _ in terms], dtype=np.int64).reshape(-1, x.shape[1])
+    coeffs = np.array([float(c) for _, c in terms])
+    return (coeffs * np.prod(x[:, None, :] ** exps[None, :, :], axis=2)).sum(axis=1)
+
+
+def test_oracle_evaluators_match_the_termwise_reference():
+    # one shared power table per call must change no bit of any value, so
+    # the oracle's Newton runs and verdicts stay what they were
+    rng = random.Random(48)
+    np_rng = np.random.default_rng(49)
+    for k in range(60):
+        vars = (VARS_X, VARS_TX)[k % 2]
+        comps = [random_poly(rng, vars, max_deg=rng.randint(1, 6),
+                             n_terms=rng.randint(0, 10), rational=k % 3 == 0)
+                 for _ in vars]
+        x = np_rng.normal(scale=10.0 ** np_rng.uniform(-4, 1),
+                          size=(int(np_rng.integers(1, 200)), len(vars)))
+        germ = np.stack([_termwise_values(c, x) for c in comps], axis=1)
+        jac = np.stack([_termwise_values(partial(c, j), x)
+                        for c in comps for j in range(len(vars))], axis=1)
+        assert np.array_equal(germ_evaluator(comps)(x), germ)
+        assert np.array_equal(jacobian_evaluator(comps)(x),
+                              jac.reshape(-1, len(vars), len(vars)))
 
 
 def test_numeric_oracle_agreement_sample():

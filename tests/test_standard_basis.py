@@ -436,7 +436,8 @@ def test_membership_infinite_codimension():
         combo = (random_poly(rng, VARS_TX, max_deg=2, n_terms=2) * g1
                  + random_poly(rng, VARS_TX, max_deg=2, n_terms=2) * g2)
         assert ideal.contains(combo), (g1, g2, combo)
-        # the scan in compute_xi stops at the first s with t^s * g3 inside
+        # membership of t^s * g3 is monotone in s, so the xi search stops
+        # at the first s with t^s * g3 inside
         scan = [ideal.contains(t**s * g3) for s in range(k + 2)]
         assert scan == sorted(scan), (g1, g2, g3, scan)
         assert scan[k]
