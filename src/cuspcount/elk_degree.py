@@ -36,10 +36,10 @@ class DegreeCertificate:
 
 
 def build_algebra(ideal: LocalIdeal) -> LocalAlgebra:
-    """Local algebra of a square germ, given as the ideal of its components
-    (one per variable), whose completion it reads."""
-    if len(ideal.generators) != len(ideal.vars):
-        raise ValueError("build_algebra needs a square germ")
+    """Local algebra of a square germ, given as the ideal of its three
+    components in (t, x1, x2), whose completion it reads."""
+    if len(ideal.generators) != 3:
+        raise ValueError("build_algebra needs a square germ: three components")
     return LocalAlgebra(ideal)
 
 

@@ -2,14 +2,17 @@
 
 A polynomial is a sparse map from packed monomials (pack_monomial) to int
 numerators over one positive int denominator.  Every operation is exact;
-nothing is ever rounded.  Every germ of the analysis lives in
-``("t", "x1", "x2")``, but the arithmetic is generic in the variable tuple.
+nothing is ever rounded.  Poly, partial and substitute_t_squared are generic
+in the variable tuple, which is the input format and names the printed
+variables.
 
-Every Jacobian determinant and 2x2 minor is a first-row expansion
-(expand_first_row) over the cofactors of the rows below it
-(jacobian_cofactors), so maps that differ only in their first component
-share one set of cofactors.  d(p, q)/d(x1, x2) is jacobian_det([p, q, t]),
-and the cofactors of (p, q) are the signed minors of d(p, q)/d(t, x1, x2).
+Every germ of the analysis is a map of ``("t", "x1", "x2")``, and so is
+every Jacobian.  Each Jacobian determinant and 2x2 minor is a first-row
+expansion (expand_first_row) over the cofactors of the two rows below it
+(jacobian_cofactors), the cross product of their gradients, so maps that
+differ only in their first component share one set of cofactors.
+d(p, q)/d(x1, x2) is jacobian_det([p, q, t]), and the cofactors of (p, q)
+are the signed minors of d(p, q)/d(t, x1, x2).
 
 The term order used for serialization (and everywhere else in the package)
 is the anti-degree reverse-lexicographic local order: lower total degree
@@ -282,53 +285,35 @@ def partial(p: Poly, v: int) -> Poly:
     }, p.den)
 
 
-def det(rows: Sequence[Sequence]):
-    """Determinant of a square matrix over a commutative ring (int, Fraction
-    or Poly entries), by cofactor expansion along the first row."""
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("det needs a square matrix")
-    if n <= 1:
-        return rows[0][0] if rows else 1
-    minors = (det([row[:j] + row[j + 1:] for row in rows[1:]]) for j in range(n))
-    total = rows[0][0] * next(minors)
-    for j, m in enumerate(minors, 1):
-        term = rows[0][j] * m
-        total = total - term if j % 2 else total + term
-    return total
-
-
 def jacobian_cofactors(rest: Sequence[Poly]) -> list[Poly]:
-    """The cofactors c_j of the first row of the derivative matrix of a
-    square map (p, *rest).  They do not depend on p: the map's Jacobian
+    """The cofactors of the first row of the derivative matrix of a map
+    (p, q, r) of (t, x1, x2), for rest = (q, r): the cross product of the
+    gradients of q and r.  They do not depend on p: the map's Jacobian
     determinant is expand_first_row(p, c), linear in p, so maps that share
     rest share one expansion."""
-    n = len(rest) + 1
-    if any(len(c.vars) != n for c in rest):
-        raise ValueError("a square map needs as many components as variables")
-    below = [[partial(c, j) for j in range(n)] for c in rest]
-    out = []
-    for j in range(n):
-        m = det([row[:j] + row[j + 1:] for row in below])
-        out.append(-m if j % 2 else m)
-    return out
+    if len(rest) != 2 or any(c.vars != VARS_TX for c in rest):
+        raise ValueError("the rows below the first are two components in (t, x1, x2)")
+    (a0, a1, a2), (b0, b1, b2) = ([partial(c, j) for j in range(3)] for c in rest)
+    return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
 
 
 def expand_first_row(p: Poly, cofactors: Sequence[Poly]) -> Poly:
     """The sum of d p/d v_j * cofactors[j]: the Jacobian determinant of the
     map (p, *rest), for the cofactors jacobian_cofactors(rest).  The partial
     along a zero cofactor is never taken."""
-    if len(cofactors) != len(p.vars):
-        raise ValueError("expand_first_row needs one cofactor per variable")
+    if p.vars != VARS_TX or len(cofactors) != 3:
+        raise ValueError(
+            "expand_first_row needs a row in (t, x1, x2) and its three cofactors"
+        )
     terms = (partial(p, j) * c for j, c in enumerate(cofactors) if c.terms)
-    return sum(terms, Poly.zero(p.vars))
+    return sum(terms, Poly.zero(VARS_TX))
 
 
 def jacobian_det(components: Sequence[Poly]) -> Poly:
-    """Expanded determinant of the derivative matrix of a square map, along
-    its first row."""
-    if not components or len(components[0].vars) != len(components):
-        raise ValueError("jacobian_det needs as many components as variables")
+    """Expanded determinant of the derivative matrix of a map of
+    (t, x1, x2), along its first row."""
+    if len(components) != 3:
+        raise ValueError("jacobian_det needs three components in (t, x1, x2)")
     return expand_first_row(components[0], jacobian_cofactors(components[1:]))
 
 

@@ -48,8 +48,10 @@ Four facts are exploited for speed, all exact:
   leaves the lead ideal as it was.
 * Every monomial is one int, packed as in Poly's terms, so heaps and sorted
   tails hold plain ints, divisibility is one subtraction and a mask test,
-  and "degree < D" is the comparison m < D << shift.  A completion whose
-  degrees would outgrow the exponent fields raises ExponentOverflow.
+  and "degree < D" is the comparison m < D << shift.  Every ideal lives
+  in (t, x1, x2), so the three fields, their guard bits and the shift of
+  the degree field are constants.  A completion whose degrees would
+  outgrow the exponent fields raises ExponentOverflow.
 
 The completion ends with one staircase walk over the final minimal leads,
 one degree past D.  Its monomials below D are the staircase it hands over:
@@ -96,6 +98,7 @@ from .polyring import (
     FIELD_BITS,
     FIELD_MASK,
     MAX_DEGREE,
+    VARS_TX,
     Monomial,
     Poly,
     check_degree,
@@ -106,23 +109,35 @@ from .polyring import (
 #: returned by quotient_dim when the quotient is not finite-dimensional
 INFINITE = inf
 
+# every ideal and algebra here lives in VARS_TX: a packed monomial holds its
+# degree from _SHIFT up, and _GUARDS are the guard bits of its three fields
+_SHIFT = FIELD_BITS * 3
+_GUARDS = guard_bits(3)
+
+
+def _check_ambient(p: Poly) -> None:
+    if p.vars != VARS_TX:
+        raise ValueError(
+            f"the local ring is that of (t, x1, x2), not of the ambient {p.vars}"
+        )
+
 
 # ---------------------------------------------------------------------------
 # packed monomials (packed as in polyring) and integer polynomials on them
 # ---------------------------------------------------------------------------
 
 
-def _divides(a: int, b: int, guards: int) -> bool:
-    return ((b | guards) - a) & guards == guards
+def _divides(a: int, b: int) -> bool:
+    return ((b | _GUARDS) - a) & _GUARDS == _GUARDS
 
 
-def _lcm(a: int, b: int, guards: int, shift: int) -> int:
+def _lcm(a: int, b: int) -> int:
     """Least common multiple of two packed monomials, field by field."""
     # all bits of the fields in which a's exponent is at least b's
-    take_a = ((((a | guards) - b) & guards) >> (FIELD_BITS - 1)) * FIELD_MASK
-    x = (a & take_a) | (b & ~take_a & ((1 << shift) - 1))
-    deg = sum((x >> s) & FIELD_MASK for s in range(0, shift, FIELD_BITS))
-    return (deg << shift) | x
+    take_a = ((((a | _GUARDS) - b) & _GUARDS) >> (FIELD_BITS - 1)) * FIELD_MASK
+    x = (a & take_a) | (b & ~take_a & ((1 << _SHIFT) - 1))
+    t, x1, x2 = x & FIELD_MASK, (x >> FIELD_BITS) & FIELD_MASK, x >> (2 * FIELD_BITS)
+    return ((t + x1 + x2) << _SHIFT) | x
 
 
 def _primitive(terms: dict[int, int]) -> dict[int, int]:
@@ -155,11 +170,11 @@ class _Elem:
 
     __slots__ = ("lm", "lc", "a", "tail", "idx")
 
-    def __init__(self, terms: dict[int, int], d: int, idx: int, shift: int):
+    def __init__(self, terms: dict[int, int], d: int, idx: int):
         lm = min(terms)
         self.lm = lm
         self.lc = terms[lm]
-        self.a = d - (lm >> shift)  # homogenizer exponent of the lead
+        self.a = d - (lm >> _SHIFT)  # homogenizer exponent of the lead
         self.tail = tuple(sorted((m, c) for m, c in terms.items() if m != lm))
         self.idx = idx
 
@@ -195,7 +210,7 @@ def _hspoly(f: _Elem, g: _Elem, lcm: int, lim: int) -> dict[int, int]:
 
 
 def _hreduce(
-    d_p: int, p_terms: dict[int, int], basis: list[_Elem], lim: int, nvars: int
+    d_p: int, p_terms: dict[int, int], basis: list[_Elem], lim: int
 ) -> tuple[dict[int, int], int]:
     """Full reduction of a homogeneous polynomial of degree d_p.
 
@@ -211,10 +226,8 @@ def _hreduce(
     Terms at or past the packed bound lim are dropped: a reducer's tail,
     sorted ascending and shifted, is read up to its first term past lim.
     """
-    shift = FIELD_BITS * nvars
-    guards = guard_bits(nvars)
     # r.a <= d_p - |m| is m < top
-    reducers = [((d_p - r.a + 1) << shift, r.lm, r) for r in basis]
+    reducers = [((d_p - r.a + 1) << _SHIFT, r.lm, r) for r in basis]
     h = {m: c for m, c in p_terms.items() if m < lim}
     heap = list(h)
     heapq.heapify(heap)
@@ -225,9 +238,9 @@ def _hreduce(
         c = h.pop(m, None)
         if c is None:
             continue
-        mg = m | guards
+        mg = m | _GUARDS
         for top, lm, red in reducers:
-            if m < top and (mg - lm) & guards == guards:
+            if m < top and (mg - lm) & _GUARDS == _GUARDS:
                 break
         else:
             out[m] = c
@@ -260,9 +273,7 @@ def _hreduce(
 # ---------------------------------------------------------------------------
 
 
-def _staircase(
-    leads: Sequence[int], nvars: int, trunc: int | None
-) -> list[int] | None:
+def _staircase(leads: Sequence[int], trunc: int | None) -> list[int] | None:
     """The packed monomials under the staircase of the packed leads,
     ascending, or None when there are infinitely many.
 
@@ -272,28 +283,26 @@ def _staircase(
     degree d it keeps the monomials that no lead of degree <= d divides, and
     the monomials one variable above those are the next degree's.
     """
-    shift = FIELD_BITS * nvars
     if trunc is None and not all(
-        any(lm >> shift and (lm >> (FIELD_BITS * v)) & FIELD_MASK == lm >> shift
+        any(lm >> _SHIFT and (lm >> (FIELD_BITS * v)) & FIELD_MASK == lm >> _SHIFT
             for lm in leads)
-        for v in range(nvars)
+        for v in range(3)
     ):
         return None
-    lim = (MAX_DEGREE + 1 if trunc is None else trunc) << shift
-    guards = guard_bits(nvars)
-    steps = [(1 << shift) + (1 << (FIELD_BITS * v)) for v in range(nvars)]
+    lim = (MAX_DEGREE + 1 if trunc is None else trunc) << _SHIFT
+    steps = [(1 << _SHIFT) + (1 << (FIELD_BITS * v)) for v in range(3)]
     leads = sorted(leads)
     out: list[int] = []
     level, d, seen = [0], 0, 0
     while level:
-        while seen < len(leads) and leads[seen] >> shift <= d:
+        while seen < len(leads) and leads[seen] >> _SHIFT <= d:
             seen += 1
         active = leads[:seen]  # the leads of degree <= d
         kept = []
         for m in level:
-            mg = m | guards
+            mg = m | _GUARDS
             for lm in active:
-                if (mg - lm) & guards == guards:
+                if (mg - lm) & _GUARDS == _GUARDS:
                     break
             else:
                 kept.append(m)
@@ -303,29 +312,18 @@ def _staircase(
     return out
 
 
-def _box(nvars: int, n: int) -> list[int]:
-    """The packed monomials of degree < n, descending.
+def _box(n: int) -> list[int]:
+    """The packed monomials t^a x1^b x2^c of degree < n, descending.
 
-    Within one degree, once the exponents above the lowest two fields are
-    fixed, the rest r of the degree splits over those two fields as
-    (r - e, e) for e = 0..r, which packs to base + r + e*FIELD_MASK: the
-    descending ints of those monomials are one range.
+    Within degree d and x2 exponent c, the rest r = d - c splits over t and
+    x1 as (r - b, b) for b = r..0, which packs to base + r + b*FIELD_MASK:
+    the descending ints of those monomials are one range.
     """
-    shift = FIELD_BITS * nvars
-    if nvars == 1:
-        return [(d << shift) + d for d in range(n - 1, -1, -1)]
     out: list[int] = []
     for d in range(n - 1, -1, -1):
-        # (v, base, r): the exponents of fields v and below share the rest r;
-        # pushed in ascending exponent of field v, so popped descending
-        stack = [(nvars - 1, d << shift, d)]
-        while stack:
-            v, base, r = stack.pop()
-            if v == 1:
-                out.extend(range(base + (r << FIELD_BITS), base + r - 1, -FIELD_MASK))
-            else:
-                at = FIELD_BITS * v
-                stack.extend((v - 1, base + (e << at), r - e) for e in range(r + 1))
+        for c in range(d, -1, -1):
+            base, r = (d << _SHIFT) + (c << (2 * FIELD_BITS)), d - c
+            out.extend(range(base + (r << FIELD_BITS), base + r - 1, -FIELD_MASK))
     return out
 
 
@@ -350,47 +348,45 @@ class _Core(NamedTuple):
     staircase: tuple[int, ...] | None
 
 
-def _complete(gens: list[dict[int, int]], nvars: int) -> _Core:
-    shift = FIELD_BITS * nvars
-    guards = guard_bits(nvars)
+def _complete(gens: list[dict[int, int]]) -> _Core:
     elems: list[_Elem] = []
     pairs: list[tuple[int, int, int, int]] = []
     done: set[tuple[int, int]] = set()
     trunc: int | None = None
-    lim = (MAX_DEGREE + 1) << shift  # packed truncation bound
+    lim = (MAX_DEGREE + 1) << _SHIFT  # packed truncation bound
     # a generator with a constant term is a unit; generators without one
     # only ever make terms of x-degree >= 1, so no later lead is 1
     if any(0 in g for g in gens):
-        return _Core([_Elem({0: 1}, 0, 0, shift)], 0, ())
+        return _Core([_Elem({0: 1}, 0, 0)], 0, ())
 
     def add(terms: dict[int, int], d: int) -> None:
         nonlocal trunc, lim
         if min(terms) >= lim:
             return
-        e = _Elem(_primitive(terms), d, len(elems), shift)
+        e = _Elem(_primitive(terms), d, len(elems))
         for j, other in enumerate(elems):
-            lcm = _lcm(e.lm, other.lm, guards, shift)
+            lcm = _lcm(e.lm, other.lm)
             heapq.heappush(
-                pairs, (max(e.a, other.a) + (lcm >> shift), lcm, j, e.idx)
+                pairs, (max(e.a, other.a) + (lcm >> _SHIFT), lcm, j, e.idx)
             )
         # a lead divisible by a lead in the basis leaves the staircase as it is
-        eg = e.lm | guards
+        eg = e.lm | _GUARDS
         moves_staircase = True
         for other in elems:
-            if (eg - other.lm) & guards == guards:
+            if (eg - other.lm) & _GUARDS == _GUARDS:
                 moves_staircase = False
                 break
         elems.append(e)
         if moves_staircase:
-            st = _staircase([other.lm for other in elems], nvars, trunc)
+            st = _staircase([other.lm for other in elems], trunc)
             if st is not None:
-                trunc = 1 + (st[-1] >> shift)
+                trunc = 1 + (st[-1] >> _SHIFT)
                 # the basis gains monomials of degree trunc
                 check_degree(trunc)
-                lim = trunc << shift
+                lim = trunc << _SHIFT
 
     for g in gens:
-        add(g, max(g) >> shift)
+        add(g, max(g) >> _SHIFT)
 
     while pairs:
         d_sp, lcm, i, j = heapq.heappop(pairs)
@@ -409,7 +405,7 @@ def _complete(gens: list[dict[int, int]], nvars: int) -> _Core:
         for k, ek in enumerate(elems):
             if k == i or k == j:
                 continue
-            if (ek.a <= lcm_a and _divides(ek.lm, lcm, guards)
+            if (ek.a <= lcm_a and _divides(ek.lm, lcm)
                     and (min(i, k), max(i, k)) in done
                     and (min(j, k), max(j, k)) in done):
                 skip = True
@@ -420,7 +416,7 @@ def _complete(gens: list[dict[int, int]], nvars: int) -> _Core:
         sp = _hspoly(ei, ej, lcm, lim)
         if not sp:
             continue
-        nf, _ = _hreduce(d_sp, sp, elems, lim, nvars)
+        nf, _ = _hreduce(d_sp, sp, elems, lim)
         if not nf:
             continue
         # add() makes the remainder primitive
@@ -431,7 +427,7 @@ def _complete(gens: list[dict[int, int]], nvars: int) -> _Core:
     kept: list[_Elem] = []
     for e in final:
         if not any(
-            other is not e and _divides(other.lm, e.lm, guards)
+            other is not e and _divides(other.lm, e.lm)
             and (e.lm != other.lm or other.idx < e.idx)
             for other in final
         ):
@@ -442,10 +438,10 @@ def _complete(gens: list[dict[int, int]], nvars: int) -> _Core:
         # at it the monomials of degree trunc no kept lead divides; those
         # are members of the localized ideal and are materialized so the
         # basis generates the full lead ideal on its own
-        walk = _staircase([e.lm for e in kept], nvars, trunc + 1)
+        walk = _staircase([e.lm for e in kept], trunc + 1)
         staircase = tuple(m for m in walk if m < lim)
         kept += [
-            _Elem({k: 1}, trunc, len(elems) + i, shift)
+            _Elem({k: 1}, trunc, len(elems) + i)
             for i, k in enumerate(walk[len(staircase):])
         ]
     return _Core(kept, trunc, staircase)
@@ -457,7 +453,8 @@ def _complete(gens: list[dict[int, int]], nvars: int) -> _Core:
 
 
 class LocalIdeal:
-    """An ideal of the local ring, with a lazily computed standard basis.
+    """An ideal of the local ring of (t, x1, x2) at the origin, with a lazily
+    computed standard basis.
 
     The basis is computed at most once (thread-safe single flight); all
     queries afterwards are read-only.
@@ -467,12 +464,9 @@ class LocalIdeal:
         gens = tuple(generators)
         if not gens:
             raise ValueError("LocalIdeal needs at least one generator")
-        vars0 = gens[0].vars
         for g in gens:
-            if g.vars != vars0:
-                raise ValueError("generators must share one ambient")
+            _check_ambient(g)
         self.generators = gens
-        self.vars = vars0
         self._lock = threading.Lock()
         self._core: _Core | None = None
 
@@ -482,7 +476,7 @@ class LocalIdeal:
                 if self._core is None:
                     # add() strips each generator's content
                     gens = [g.terms for g in self.generators if g.terms]
-                    self._core = _complete(gens, len(self.vars))
+                    self._core = _complete(gens)
         return self._core
 
     @property
@@ -492,13 +486,12 @@ class LocalIdeal:
         the completion keeps elements as written, and those terms lie in
         the ideal anyway."""
         return tuple(
-            Poly._packed(self.vars, e.terms()) for e in self._ensure_core().reducers
+            Poly._packed(VARS_TX, e.terms()) for e in self._ensure_core().reducers
         )
 
     @property
     def lead_monomials(self) -> tuple[Monomial, ...]:
-        n = len(self.vars)
-        return tuple(unpack_monomial(e.lm, n) for e in self._ensure_core().reducers)
+        return tuple(unpack_monomial(e.lm, 3) for e in self._ensure_core().reducers)
 
     @property
     def truncation_degree(self) -> int | None:
@@ -515,13 +508,11 @@ class LocalIdeal:
         I has a truncation degree its leads cover every monomial of that
         degree.
         """
-        if p.vars != self.vars:
-            raise ValueError("ambient mismatch")
-        guards = guard_bits(len(self.vars))
+        _check_ambient(p)
         mine = [e.lm for e in self._ensure_core().reducers]
         bigger = LocalIdeal(list(self.generators) + [p])._ensure_core()
         return all(
-            any(_divides(lm, e.lm, guards) for lm in mine)
+            any(_divides(lm, e.lm) for lm in mine)
             for e in bigger.reducers
         )
 
@@ -535,8 +526,8 @@ class LocalIdeal:
         tuples, largest first; they form a basis of the quotient."""
         st = self._ensure_core().staircase
         if st is None:
-            raise DimensionInfinite(f"ideal in {self.vars} has infinite codimension")
-        return tuple(unpack_monomial(m, len(self.vars)) for m in st)
+            raise DimensionInfinite("the ideal has infinite codimension")
+        return tuple(unpack_monomial(m, 3) for m in st)
 
 
 class LocalAlgebra:
@@ -557,14 +548,13 @@ class LocalAlgebra:
                 "(local algebra is infinite-dimensional)"
             )
         core = ideal._ensure_core()
-        self.vars = ideal.vars
         self.cobasis: tuple[Monomial, ...] = ideal.cobasis()
         self.dim: int = len(self.cobasis)
         self._staircase: tuple[int, ...] = core.staircase
         self._index = {m: i for i, m in enumerate(core.staircase)}
         self._n: int = core.trunc
         # packed monomials below _cap are those of degree < N
-        self._cap = self._n << (FIELD_BITS * len(self.vars))
+        self._cap = self._n << _SHIFT
         self._reducers = core.reducers
         # at this degree no homogenizer exponent blocks a term below N, so a
         # reducer applies to a monomial exactly when its lead divides it
@@ -572,7 +562,7 @@ class LocalAlgebra:
 
     def _unreduced(self, m: int) -> InternalInconsistency:
         return InternalInconsistency(
-            f"monomial {unpack_monomial(m, len(self.vars))} is neither "
+            f"monomial {unpack_monomial(m, 3)} is neither "
             "standard nor reducible"
         )
 
@@ -585,16 +575,15 @@ class LocalAlgebra:
         if m_star not in self._index:
             raise ValueError(f"{m_star!r} is not a packed staircase monomial")
         index, reducers, cap = self._index, self._reducers, self._cap
-        nvars, guards = len(self.vars), guard_bits(len(self.vars))
         table, den = {m_star: 1}, 1
         # smallest first: m = -(1/lc) * (tail of its reducer shifted onto m),
         # and every term of that tail is smaller than m
-        for m in _box(nvars, self._n):
+        for m in _box(self._n):
             if m in index:
                 continue
-            mg = m | guards
+            mg = m | _GUARDS
             for red in reducers:
-                if (mg - red.lm) & guards == guards:
+                if (mg - red.lm) & _GUARDS == _GUARDS:
                     break
             else:
                 raise self._unreduced(m)
@@ -622,11 +611,8 @@ class LocalAlgebra:
         """Coordinates of the class of p in the staircase basis: the
         completion's reduction of p below degree N, divided by its
         multiplier and by p's denominator."""
-        if p.vars != self.vars:
-            raise ValueError("ambient mismatch")
-        out, mult = _hreduce(
-            self._hdeg, p.terms, self._reducers, self._cap, len(self.vars)
-        )
+        _check_ambient(p)
+        out, mult = _hreduce(self._hdeg, p.terms, self._reducers, self._cap)
         vec = [Fraction(0)] * self.dim
         den = mult * p.den
         for m, c in out.items():
@@ -647,13 +633,12 @@ class LocalAlgebra:
         staircase, n = self._staircase, self._n
         table, _ = self.functional_table(staircase[-1])
         get, zeros = table.get, repeat(0)
-        shift = FIELD_BITS * len(self.vars)
         rows = []
         for mi in staircase:
             # the partners of degree < N - deg(mi), a prefix of the staircase;
             # islice, because a tuple slice per row, of every length, raised
             # the peak RSS of a long run
-            width = bisect_left(staircase, (n - (mi >> shift)) << shift)
+            width = bisect_left(staircase, (n - (mi >> _SHIFT)) << _SHIFT)
             row = list(map(get, map(mi.__add__, islice(staircase, width)), zeros))
             row += [0] * (self.dim - width)
             rows.append(row)

@@ -82,25 +82,14 @@ def jacobian_evaluator(components):
 
 
 def _batch_solve(a, b):
-    """Solve a[i] @ s = b[i] for n in {2, 3} without raising on singular
-    entries; singular rows get NaN."""
-    n = a.shape[1]
+    """Solve a[i] @ s = b[i] without raising on singular entries; singular
+    rows get NaN.  One determinant finds them, and one batched solve takes
+    the others, with the identity put in for the singular ones."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         det = np.linalg.det(a)
         bad = ~np.isfinite(det) | (np.abs(det) < 1e-300)
-        det = np.where(bad, 1.0, det)
-        if n == 2:
-            s0 = (b[:, 0] * a[:, 1, 1] - b[:, 1] * a[:, 0, 1]) / det
-            s1 = (a[:, 0, 0] * b[:, 1] - a[:, 1, 0] * b[:, 0]) / det
-            out = np.stack([s0, s1], axis=1)
-        elif n == 3:
-            out = np.empty_like(b)
-            for k in range(3):
-                ak = a.copy()
-                ak[:, :, k] = b
-                out[:, k] = np.linalg.det(ak) / det
-        else:
-            raise ValueError("only 2x2 and 3x3 systems supported")
+        a = np.where(bad[:, None, None], np.eye(a.shape[1]), a)
+        out = np.linalg.solve(a, b[:, :, None])[:, :, 0]
         out[bad] = np.nan
     return out
 

@@ -1,16 +1,17 @@
-"""Shared helpers for the test suite: random polynomial generation, changes
-of coordinates, the restriction to t = 0, reference determinants and
-minors, an independent random combination search, the xi search over the
-completion of <g1, g2, g3^2>, and the two worked families used as
-regression anchors."""
+"""Shared helpers for the test suite: random polynomial generation, the
+padding of polynomials in fewer variables into (t, x1, x2), changes of
+coordinates, the restriction to t = 0, reference determinants, minors and
+staircase counts, random matrices for congruences, an independent random
+combination search, the xi search over the completion of <g1, g2, g3^2>,
+and the two worked families used as regression anchors."""
 
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 from cuspcount.branch_counter import curve_criterion_ideal
 from cuspcount.elk_degree import DegreeCertificate, local_degree
-from cuspcount.polyring import Poly, det, jacobian_det, partial
+from cuspcount.polyring import VARS_TX, Poly, jacobian_det, partial
 from cuspcount.standard_basis import INFINITE, LocalIdeal
 
 EX1 = ("x1^3 + x2^2 + t*x1", "x1*x2")
@@ -85,6 +86,48 @@ def random_origin_poly(rng, vars, **kw) -> Poly:
             return p
 
 
+def lift(p: Poly) -> Poly:
+    """p of (x1, x2), or of one variable read as x1, as a Poly of
+    (t, x1, x2)."""
+    return Poly(VARS_TX, {(0, *m, *(0,) * (2 - len(m))): c
+                          for m, c in p.sorted_terms()})
+
+
+def pad(polys) -> list[Poly]:
+    """Generators or germ components in fewer variables, as those of
+    (t, x1, x2) with the same local algebra: an ideal I of (x1, x2) becomes
+    <t> + I and a planar germ g becomes (t, g1, g2), of g's local degree;
+    one of one variable, <f(x)>, becomes <t, f(x1), x2>."""
+    one_var = len(polys[0].vars) == 1
+    out = [Poly.variable("t", VARS_TX), *map(lift, polys)]
+    return out + [Poly.variable("x2", VARS_TX)] if one_var else out
+
+
+def pad_monomials(monos, nvars):
+    """The exponent tuples of a monomial ideal in the first nvars variables
+    of (t, x1, x2) as those of (t, x1, x2), with the missing variables
+    added as generators: the staircase stays the same."""
+    out = [m + (0,) * (3 - nvars) for m in monos]
+    return out + [tuple(int(i == v) for i in range(3)) for v in range(nvars, 3)]
+
+
+def brute_staircase_count(gen_monos, nvars):
+    """Independent lattice-point count under the staircase of a monomial
+    ideal: bound the box by the pure powers among the generators and count
+    monomials divisible by no generator."""
+    bounds = []
+    for v in range(nvars):
+        pure = [m[v] for m in gen_monos if m[v] > 0 and sum(m) == m[v]]
+        if not pure:
+            return INFINITE
+        bounds.append(min(pure))
+    count = 0
+    for mono in product(*(range(b) for b in bounds)):
+        if not any(all(g[i] <= mono[i] for i in range(nvars)) for g in gen_monos):
+            count += 1
+    return count
+
+
 def leibniz_det(rows):
     """Reference determinant: the sum over all permutations, each product
     signed by the parity of its inversions."""
@@ -104,6 +147,31 @@ def minor(p: Poly, q: Poly, v1: int, v2: int) -> Poly:
     the Leibniz determinant of the partials."""
     return leibniz_det([[partial(p, v1), partial(p, v2)],
                         [partial(q, v1), partial(q, v2)]])
+
+
+def random_symmetric(rng: random.Random, n):
+    m = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+         for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[j][i] = m[i][j]
+    return m
+
+
+def random_invertible(rng: random.Random, n):
+    while True:
+        a = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+        if leibniz_det(a) != 0:
+            return a
+
+
+def congruent(m, a):
+    """a^T * m * a."""
+    n = len(m)
+    am = [[sum(a[k][i] * m[k][l] for k in range(n)) for l in range(n)]
+          for i in range(n)]
+    return [[sum(am[i][k] * a[k][j] for k in range(n)) for j in range(n)]
+            for i in range(n)]
 
 
 def reference_cusp_triple(f1: Poly, f2: Poly) -> tuple[Poly, Poly, Poly]:
@@ -183,7 +251,7 @@ def random_combination(w1: Poly, w2: Poly, w3: Poly, seed: int,
     t = Poly.variable("t", w1.vars)
     for attempt in range(max_attempts):
         rows = _draw_matrix(rng, attempt)
-        if det(rows) == 0:
+        if leibniz_det(rows) == 0:
             continue
         g = tuple(
             sum((ws[j] * rows[s][j] for j in range(3)), Poly.zero(w1.vars))

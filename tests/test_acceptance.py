@@ -8,7 +8,6 @@ import contextlib
 import random
 import time
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from cuspcount.errors import NotAlgebraicallyIsolated
 from cuspcount.exprparse import parse_poly
 from cuspcount.cusp_pipeline import derive, run
 from cuspcount.polyring import Poly, VARS_TX, VARS_X
-from cuspcount.standard_basis import INFINITE, LocalIdeal
+from cuspcount.standard_basis import LocalIdeal
 
 from oracle import (
     germ_is_oracle_friendly,
@@ -36,10 +35,17 @@ from support import (
     CRAFTED_FAMILIES,
     EX1,
     EX2,
+    brute_staircase_count,
+    congruent,
     germ_degree,
+    lift,
+    pad,
+    pad_monomials,
     random_combination,
+    random_invertible,
     random_origin_poly,
     random_poly,
+    random_symmetric,
 )
 
 _CACHE: dict = {}
@@ -124,7 +130,8 @@ def _collect_oracle_germs(n_two, n_three):
                 for _ in range(len(vars))
             ]
             try:
-                cert = germ_degree(comps)
+                # a planar germ g is certified as the germ (t, g1, g2)
+                cert = germ_degree(comps if vars == VARS_TX else pad(comps))
             except NotAlgebraicallyIsolated:
                 continue
             if cert.algebra_dim > 5:
@@ -160,57 +167,20 @@ def test_criterion_3_elk_vs_numeric_oracle():
         assert not mismatches, mismatches
 
 
-def _random_symmetric(rng, n):
-    m = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
-         for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            m[j][i] = m[i][j]
-    return m
-
-
-def _random_invertible(rng, n):
-    import itertools
-
-    while True:
-        a = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
-        det = Fraction(0)
-        for perm in itertools.permutations(range(n)):
-            sign = 1
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if perm[i] > perm[j]:
-                        sign = -sign
-            prod = Fraction(sign)
-            for i in range(n):
-                prod *= a[i][perm[i]]
-            det += prod
-        if det != 0:
-            return a
-
-
-def _congruent(m, a):
-    n = len(m)
-    am = [[sum(a[k][i] * m[k][l] for k in range(n)) for l in range(n)]
-          for i in range(n)]
-    return [[sum(am[i][k] * a[k][j] for k in range(n)) for j in range(n)]
-            for i in range(n)]
-
-
 def test_criterion_4_signature_suite():
     with criterion(4, "inertia invariance, diagonal counts, nondegenerate certificates"):
         rng = random.Random(103)
         bases = [
             [[Fraction(2), Fraction(0)], [Fraction(0), Fraction(-3)]],
             [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]],
-            _random_symmetric(rng, 3),
-            _random_symmetric(rng, 4),
+            random_symmetric(rng, 3),
+            random_symmetric(rng, 4),
         ]
         for m in bases:
             base = signature(m)
             for _ in range(100):
-                a = _random_invertible(rng, len(m))
-                assert signature(_congruent(m, a)) == base
+                a = random_invertible(rng, len(m))
+                assert signature(congruent(m, a)) == base
         for _ in range(30):
             n = rng.randint(1, 6)
             d = [rng.randint(-5, 5) for _ in range(n)]
@@ -227,7 +197,7 @@ def test_criterion_4_signature_suite():
             comps = [random_origin_poly(rng, VARS_X, max_deg=3, n_terms=4)
                      for _ in range(2)]
             try:
-                cert = germ_degree(comps)
+                cert = germ_degree(pad(comps))
             except NotAlgebraicallyIsolated:
                 continue
             pos, neg = cert.signature_split
@@ -235,26 +205,11 @@ def test_criterion_4_signature_suite():
             produced += 1
 
 
-def _brute_staircase_count(monos, nvars):
-    bounds = []
-    for v in range(nvars):
-        pure = [m[v] for m in monos if m[v] > 0 and sum(m) == m[v]]
-        if not pure:
-            return INFINITE
-        bounds.append(min(pure))
-    count = 0
-    for mono in product(*(range(b) for b in bounds)):
-        if not any(all(g[i] <= mono[i] for i in range(nvars)) for g in monos):
-            count += 1
-    return count
-
-
 def test_criterion_5_standard_basis_suite():
     with criterion(5, "staircase counts, locality witness, membership of combinations"):
         rng = random.Random(104)
         for _ in range(100):
             nvars = rng.choice((1, 2, 3))
-            vars = ("t", "x1", "x2")[:nvars]
             monos = []
             for v in range(nvars):
                 e = rng.randint(1, 5)
@@ -262,20 +217,24 @@ def test_criterion_5_standard_basis_suite():
             for _ in range(rng.randint(0, 4)):
                 monos.append(tuple(rng.randint(0, 4) for _ in range(nvars)))
             monos = [m for m in monos if sum(m) > 0]
-            gens = [Poly(vars, {m: Fraction(1)}) for m in monos]
-            assert LocalIdeal(gens).quotient_dim() == _brute_staircase_count(monos, nvars)
+            # in (t, x1, x2), which the missing variables join
+            gens = [Poly(VARS_TX, {m: Fraction(1)})
+                    for m in pad_monomials(monos, nvars)]
+            want = brute_staircase_count(monos, nvars)
+            assert LocalIdeal(gens).quotient_dim() == want
 
-        assert LocalIdeal([parse_poly("x - x^2", ("x",))]).quotient_dim() == 1
+        assert LocalIdeal(pad([parse_poly("x - x^2", ("x",))])).quotient_dim() == 1
 
         for _ in range(100):
             vars = rng.choice((VARS_X, VARS_TX))
             gens = [random_origin_poly(rng, vars, max_deg=2, n_terms=3)
                     for _ in range(rng.randint(2, 3))]
-            ideal = LocalIdeal(gens)
             combo = Poly.zero(vars)
             for g in gens:
                 combo = combo + random_poly(rng, vars, max_deg=2, n_terms=2) * g
-            assert ideal.contains(combo)
+            if vars == VARS_X:
+                gens, combo = pad(gens), lift(combo)
+            assert LocalIdeal(gens).contains(combo)
 
 
 def _negate_vars(p, flip_x):

@@ -151,9 +151,9 @@ def test_j2_is_never_completed(family, monkeypatch):
     complete = standard_basis._complete
     completed = set()
 
-    def recording(gens, nvars):
+    def recording(gens):
         completed.add(tuple(tuple(sorted(g.items())) for g in gens))
-        return complete(gens, nvars)
+        return complete(gens)
 
     monkeypatch.setattr(standard_basis, "_complete", recording)
     d = derive(p(family[0]), p(family[1]))

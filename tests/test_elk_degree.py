@@ -39,16 +39,26 @@ from support import (
     CRAFTED_FAMILIES,
     EX1,
     EX2,
+    congruent,
     germ_degree,
+    lift,
     minor,
+    pad,
+    random_invertible,
     random_origin_poly,
     random_poly,
+    random_symmetric,
     set_t_zero,
 )
 
 
 def p2(text):
     return parse_poly(text, VARS_X)
+
+
+def px(*texts):
+    """The planar germ of texts in (x1, x2) as the germ (t, *texts)."""
+    return pad([p2(text) for text in texts])
 
 
 def p3(text):
@@ -59,30 +69,38 @@ def p3(text):
 
 
 def test_algebra_identity_germ():
-    a = build_algebra(LocalIdeal([p2("x1"), p2("x2")]))
+    a = build_algebra(LocalIdeal(px("x1", "x2")))
     assert a.dim == 1
-    assert a.cobasis == ((0, 0),)
+    assert a.cobasis == ((0, 0, 0),)
 
 
 def test_algebra_staircase_dims():
-    assert build_algebra(LocalIdeal([p2("x1^2"), p2("x2^2")])).dim == 4
-    assert build_algebra(LocalIdeal([p2("x1^3"), p2("x2")])).dim == 3
+    assert build_algebra(LocalIdeal(px("x1^2", "x2^2"))).dim == 4
+    assert build_algebra(LocalIdeal(px("x1^3", "x2"))).dim == 3
 
 
 def test_algebra_rejects_nonisolated():
     with pytest.raises(NotAlgebraicallyIsolated):
-        build_algebra(LocalIdeal([p2("x1^2"), p2("x1*x2")]))
+        build_algebra(LocalIdeal(px("x1^2", "x1*x2")))
 
 
 def test_algebra_rejects_malformed_germs():
-    for germ in ([p2("x1")], [p3("x1"), p3("x2")]):
+    for germ in (px("x1"), [p3("x1"), p3("x2")]):
         with pytest.raises(ValueError, match="square"):
             build_algebra(LocalIdeal(germ))
-    # no components, or components in two different ambients
+    # no components, or a component outside (t, x1, x2)
     with pytest.raises(ValueError, match="at least one"):
         LocalIdeal([])
     with pytest.raises(ValueError, match="ambient"):
-        LocalIdeal([p2("x1"), parse_poly("y", ("x1", "y"))])
+        LocalIdeal([p3("x1"), parse_poly("y", ("x1", "y"))])
+
+
+def test_degree_rejects_a_jacobian_outside_t_x1_x2():
+    # the degree engine takes germs of (t, x1, x2), which LocalIdeal
+    # enforces, and their Jacobians: one in (x1, x2) is refused by name
+    with pytest.raises(ValueError, match=r"\(t, x1, x2\)"):
+        local_degree(LocalIdeal(px("x1", "x2")), p2("1"))
+    assert local_degree(LocalIdeal(px("x1", "x2")), p3("1")).degree == 1
 
 
 def _large_H_algebra():
@@ -95,15 +113,18 @@ def _large_H_algebra():
 
 def test_algebra_coords_are_linear():
     rng = random.Random(41)
-    small = build_algebra(LocalIdeal([p2("x1^3 + x2^2"), p2("x1*x2")]))
+    small = build_algebra(LocalIdeal(px("x1^3 + x2^2", "x1*x2")))
     large = _large_H_algebra()
     assert {4, 6, 54} <= {r.lc for r in large._reducers}
-    for a, max_deg in ((small, 4), (large, large._n + 2)):
+    # small's polynomials are drawn in (x1, x2), where its germ was
+    for a, vars, max_deg in ((small, VARS_X, 4), (large, VARS_TX, large._n + 2)):
         high = 0  # terms at or above the nilpotency degree N
         for _ in range(20):
-            f, g = (random_origin_poly(rng, a.vars, max_deg=max_deg,
+            f, g = (random_origin_poly(rng, vars, max_deg=max_deg,
                                        n_terms=8, rational=True)
                     for _ in range(2))
+            if vars == VARS_X:
+                f, g = lift(f), lift(g)
             high += sum(sum(m) >= a._n for q in (f, g) for m, _ in q.sorted_terms())
             c = Fraction(rng.randint(-5, 5), rng.randint(1, 5))
             lhs = a.coords(f * c + g)
@@ -112,8 +133,8 @@ def test_algebra_coords_are_linear():
         assert high > 20
 
 
-def _mono(m, vars=VARS_X):
-    return Poly(vars, {m: Fraction(1)})
+def _mono(m):
+    return Poly(VARS_TX, {m: Fraction(1)})
 
 
 def monomial_mul(a, b):
@@ -122,27 +143,27 @@ def monomial_mul(a, b):
 
 
 def test_algebra_mult_table_properties():
-    a = build_algebra(LocalIdeal([p2("x1^2 - x2^3"), p2("x1*x2")]))
+    a = build_algebra(LocalIdeal(px("x1^2 - x2^3", "x1*x2")))
 
     def times(*ms):
-        prod = (0, 0)
+        prod = (0, 0, 0)
         for m in ms:
             prod = monomial_mul(prod, m)
         return a.coords(_mono(prod))
 
     for i, m in enumerate(a.cobasis):
         unit = tuple(Fraction(1 if j == i else 0) for j in range(a.dim))
-        assert times((0, 0), m) == times(m) == unit
+        assert times((0, 0, 0), m) == times(m) == unit
     for mi in a.cobasis:
         for mj in a.cobasis:
             assert times(mi, mj) == times(mj, mi)
             for mk in a.cobasis:
                 # (mi*mj)*mk, reduced through the class of mi*mj, agrees
                 # with mi*(mj*mk), reduced through the class of mj*mk
-                left = Poly.zero(VARS_X)
+                left = Poly.zero(VARS_TX)
                 for c, mb in zip(times(mi, mj), a.cobasis):
                     left = left + _mono(monomial_mul(mb, mk)) * c
-                right = Poly.zero(VARS_X)
+                right = Poly.zero(VARS_TX)
                 for c, mb in zip(times(mj, mk), a.cobasis):
                     right = right + _mono(monomial_mul(mi, mb)) * c
                 assert a.coords(left) == a.coords(right) == times(mi, mj, mk)
@@ -155,14 +176,13 @@ def _assert_sweeps_are_dual(algebra):
     times the last coordinate of the product of staircase monomials i and j,
     for den the denominator of the last staircase monomial's table."""
     n = algebra._n
-    nv = len(algebra.vars)
-    monos = [m for m in product(range(n), repeat=nv) if sum(m) < n]
+    monos = [m for m in product(range(n), repeat=3) if sum(m) < n]
     tables = [algebra.functional_table(pack_monomial(b)) for b in algebra.cobasis]
     for table, den in tables:
         assert type(den) is int and den > 0
         assert all(type(v) is int and v for v in table.values())
     for m in monos:
-        vec = algebra.coords(_mono(m, algebra.vars))
+        vec = algebra.coords(_mono(m))
         assert vec == tuple(
             Fraction(table.get(pack_monomial(m), 0), den) for table, den in tables
         ), m
@@ -170,7 +190,7 @@ def _assert_sweeps_are_dual(algebra):
     den = tables[-1][1]
     for i, mi in enumerate(algebra.cobasis):
         for j, mj in enumerate(algebra.cobasis):
-            prod = _mono(monomial_mul(mi, mj), algebra.vars)
+            prod = _mono(monomial_mul(mi, mj))
             assert type(pairing[i][j]) is int, (mi, mj)
             assert pairing[i][j] == den * algebra.coords(prod)[-1], (mi, mj)
 
@@ -284,49 +304,14 @@ def test_signature_sparse_congruent_to_singular_diagonal():
         assert signature(m) == want
 
 
-def _random_symmetric(rng, n):
-    m = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            m[j][i] = m[i][j]
-    return m
-
-
-def _random_invertible(rng, n):
-    while True:
-        a = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
-        # determinant by fraction-free expansion on small n
-        import itertools
-
-        det = Fraction(0)
-        for perm in itertools.permutations(range(n)):
-            sign = 1
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if perm[i] > perm[j]:
-                        sign = -sign
-            prod = Fraction(sign)
-            for i in range(n):
-                prod *= a[i][perm[i]]
-            det += prod
-        if det != 0:
-            return a
-
-
-def _congruent(m, a):
-    n = len(m)
-    am = [[sum(a[k][i] * m[k][l] for k in range(n)) for l in range(n)] for i in range(n)]
-    return [[sum(am[i][k] * a[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
-
-
 def test_signature_congruence_invariance():
     rng = random.Random(43)
     for n in (2, 3, 4):
-        m = _random_symmetric(rng, n)
+        m = random_symmetric(rng, n)
         base = signature(m)
         for _ in range(25):
-            a = _random_invertible(rng, n)
-            got = signature(_congruent(m, a))
+            a = random_invertible(rng, n)
+            got = signature(congruent(m, a))
             # congruence by an invertible matrix preserves the full inertia
             assert got == base
 
@@ -460,14 +445,14 @@ def test_signature_matches_descartes_on_ex1_pairings(monkeypatch):
 
 def test_degree_trivial_germs():
     assert germ_degree([p3("t"), p3("x1"), p3("x2")]).degree == 1
-    assert germ_degree([p2("x1"), p2("-x2")]).degree == -1
-    assert germ_degree([p2("x1^2 - x2^2"), p2("2*x1*x2")]).degree == 2
+    assert germ_degree(px("x1", "-x2")).degree == -1
+    assert germ_degree(px("x1^2 - x2^2", "2*x1*x2")).degree == 2
 
 
 def test_degree_worked_family():
     f1, f2 = p3(EX1[0]), p3(EX1[1])
     J = minor(f1, f2, 1, 2)
-    assert germ_degree([set_t_zero(f1), set_t_zero(f2)]).degree == -1
+    assert germ_degree(pad([set_t_zero(f1), set_t_zero(f2)])).degree == -1
     assert germ_degree([partial(J, 0), partial(J, 1), partial(J, 2)]).degree == 1
     assert germ_degree([J, partial(J, 1), partial(J, 2)]).degree == -1
 
@@ -475,7 +460,7 @@ def test_degree_worked_family():
 def test_degree_gradient_with_empty_negative_side():
     # gradient (9*x1^2, -4*x2): the first component never goes negative, so a
     # value (-eps, 0) has no preimage and the degree is 0
-    cert = germ_degree([p2("9*x1^2"), p2("-4*x2")])
+    cert = germ_degree(px("9*x1^2", "-4*x2"))
     assert cert.degree == 0
     assert winding_degree([p2("9*x1^2"), p2("-4*x2")], (0.0, 0.0), 0.05) == 0
 
@@ -488,17 +473,17 @@ def test_degree_unit_component_is_zero():
 def test_degree_rejects_a_jacobian_off_the_socle():
     # the caller hands local_degree the Jacobian; a class that is not a
     # nonzero multiple of the socle monomial x1*x2 is an internal error
-    germ = [p2("x1^2"), p2("x2^2")]
+    germ = px("x1^2", "x2^2")
     ideal = LocalIdeal(germ)
     assert local_degree(ideal, jacobian_det(germ)).degree == 0
-    for wrong in (p2("x1"), p2("x1^2"), p2("x1*x2 + x2")):
+    for wrong in (p3("x1"), p3("x1^2"), p3("x1*x2 + x2")):
         with pytest.raises(InternalInconsistency, match="socle"):
             local_degree(ideal, wrong)
 
 
 def test_even_multiplicity_degree_zero():
     # preimages of a regular value come in sign-cancelling pairs
-    cert = germ_degree([p2("x1^2"), p2("x2^2 + x1^2")])
+    cert = germ_degree(px("x1^2", "x2^2 + x1^2"))
     assert cert.degree == 0
     assert cert.algebra_dim == 4
 
@@ -506,7 +491,7 @@ def test_even_multiplicity_degree_zero():
 def test_real_isolation_only_is_rejected():
     # (x1, x2) * (x1^2 + x2^2): the only real zero is the origin but the
     # complex zero set contains two lines, so the algebra is infinite
-    comps = [p2("x1^3 + x1*x2^2"), p2("x2*x1^2 + x2^3")]
+    comps = px("x1^3 + x1*x2^2", "x2*x1^2 + x2^3")
     with pytest.raises(NotAlgebraicallyIsolated):
         germ_degree(comps)
 
@@ -517,7 +502,7 @@ def test_certificate_invariants():
     while found < 15:
         comps = [random_origin_poly(rng, VARS_X, max_deg=3, n_terms=4) for _ in range(2)]
         try:
-            cert = germ_degree(comps)
+            cert = germ_degree(pad(comps))
         except NotAlgebraicallyIsolated:
             continue
         found += 1
@@ -530,7 +515,7 @@ def test_certificate_invariants():
 
 
 def test_functional_choice_does_not_change_degree():
-    comps = [p2("x1^3 + x2^2"), p2("x1*x2")]
+    comps = px("x1^3 + x2^2", "x1*x2")
     cert = germ_degree(comps)
     algebra = build_algebra(LocalIdeal(comps))
     jclass = algebra.coords(jacobian_det(comps))
@@ -573,6 +558,8 @@ def test_jacobian_class_spans_the_last_staircase_monomial():
         vars = (VARS_X, VARS_TX)[checked % 2]
         comps = [random_origin_poly(rng, vars, max_deg=3, n_terms=4, coeff_range=2)
                  for _ in vars]
+        if vars == VARS_X:
+            comps = pad(comps)
         try:
             if build_algebra(LocalIdeal(comps)).dim == 0:
                 continue
@@ -608,6 +595,8 @@ def test_pairing_vanishes_at_degree_n():
         vars = (VARS_X, VARS_TX)[checked % 2]
         comps = [random_origin_poly(rng, vars, max_deg=3, n_terms=4, coeff_range=2)
                  for _ in vars]
+        if vars == VARS_X:
+            comps = pad(comps)
         try:
             algebra = build_algebra(LocalIdeal(comps))
         except NotAlgebraicallyIsolated:
@@ -629,19 +618,21 @@ def test_orientation_swap_flips_degree():
     for comps in ([p2("x1^3 + x2^2"), p2("x1*x2")],
                   [p2("x1^2 - x2^2"), p2("2*x1*x2")]):
         swapped = [comps[1], comps[0]]
-        assert germ_degree(swapped).degree == -germ_degree(comps).degree
+        assert germ_degree(pad(swapped)).degree == -germ_degree(pad(comps)).degree
 
 
 # -- numeric oracle agreement -------------------------------------------------
 
 
 def _random_isolated_germ(rng, vars, max_dim):
+    """A germ drawn in vars, as drawn, with the certificate of its germ of
+    (t, x1, x2)."""
     while True:
         comps = [random_origin_poly(rng, vars, max_deg=3, n_terms=4,
                                     coeff_range=2)
                  for _ in range(len(vars))]
         try:
-            cert = germ_degree(comps)
+            cert = germ_degree(comps if vars == VARS_TX else pad(comps))
         except NotAlgebraicallyIsolated:
             continue
         if cert.algebra_dim > max_dim:

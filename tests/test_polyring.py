@@ -13,7 +13,6 @@ from cuspcount.polyring import (
     Poly,
     VARS_TX,
     VARS_X,
-    det,
     expand_first_row,
     jacobian_cofactors,
     jacobian_det,
@@ -22,7 +21,7 @@ from cuspcount.polyring import (
 )
 from cuspcount.exprparse import parse_poly
 
-from support import flip_t, leibniz_det, minor, random_poly, set_t_zero
+from support import flip_t, leibniz_det, lift, minor, pad, random_poly, set_t_zero
 
 
 def p(text, vars=VARS_TX):
@@ -72,34 +71,39 @@ def test_jacobian3_trivial_diagonals():
     assert jacobian_det([t + x1, x1, x2]) == p("1")
 
 
-def test_det_matches_leibniz_on_integer_matrices():
-    rng = random.Random(12)
-    for _ in range(200):
-        rows = [[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)]
-        if rng.random() < 0.2:
-            rows[2] = [2 * a - b for a, b in zip(rows[0], rows[1])]
-        assert det(rows) == leibniz_det(rows)
-    assert det([[7]]) == 7
-    assert det([]) == 1
-    with pytest.raises(ValueError, match="square"):
-        det([[1, 2], [3]])
-
-
 def test_det_and_jacobians_match_leibniz_on_random_maps():
     rng = random.Random(13)
     for vars in (VARS_X, VARS_TX) * 30:
-        n = len(vars)
-        comps = [random_poly(rng, vars) for _ in range(n)]
-        rows = [[partial(c, j) for j in range(n)] for c in comps]
+        comps = [random_poly(rng, vars) for _ in vars]
+        rows = [[partial(c, j) for j in range(len(vars))] for c in comps]
         expected = leibniz_det(rows)
-        assert det(rows) == expected
+        # a planar map g is the map (t, g1, g2) of (t, x1, x2), of g's Jacobian
+        if vars == VARS_X:
+            comps, expected = pad(comps), lift(expected)
         assert jacobian_det(comps) == expected
         # each cofactor is the signed Leibniz minor of the rows below the
         # first, without column j
-        for rest in permutations(comps, n - 1):
+        for rest in permutations(comps, 2):
             for j, c in enumerate(jacobian_cofactors(rest)):
-                below = [[partial(r, v) for v in range(n) if v != j] for r in rest]
+                below = [[partial(r, v) for v in range(3) if v != j] for r in rest]
                 assert c == (-1) ** j * leibniz_det(below)
+
+
+def test_jacobians_reject_maps_outside_t_x1_x2():
+    # every Jacobian is that of a map of (t, x1, x2): three components, each
+    # row in that ambient
+    tx = r"\(t, x1, x2\)"
+    x1, x2 = p("x1", VARS_X), p("x2", VARS_X)
+    for comps in ([x1, x2], [p("t"), x1, x2], [p("t"), p("x1")]):
+        with pytest.raises(ValueError, match=tx):
+            jacobian_det(comps)
+    for rest in ([x1, x2], [p("x1")], [p("x1"), p("x2"), p("t")]):
+        with pytest.raises(ValueError, match=tx):
+            jacobian_cofactors(rest)
+    cofactors = jacobian_cofactors([p("x1"), p("x2")])
+    for row, cs in ((x1, cofactors), (p("t"), cofactors[:2])):
+        with pytest.raises(ValueError, match=tx):
+            expand_first_row(row, cs)
 
 
 def test_expansion_skips_zero_cofactors():
