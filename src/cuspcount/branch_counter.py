@@ -15,6 +15,17 @@ The number of half-branches of V(g1, g2, g3) emanating from the origin is
 then deg(H+) - deg(H-), and running the same computation on the germs with t
 replaced by t^2 counts twice the branches lying in t > 0.
 
+For k > xi each H(sign) = (h, g1, g2) has an algebraically isolated zero, so
+an infinite H algebra is a bug: cobasis() raises DimensionInfinite, which is
+no HypothesisError.  As dim O/I'' is finite, C = V(g1, g2) is a curve smooth
+off 0 with tangent grad g1 x grad g2, so on a branch gamma of C, h o gamma is
+d/dtau (g3 + sign*t^k) o gamma times a factor nonzero off 0.  t is not 0 on
+gamma, as dim O/<t, g1, g2> is finite.  If g3 is 0 on gamma, g3 + sign*t^k is
+not; otherwise t^xi * g3 in <g1, g2, g3^2> gives t^xi = c * g3 on gamma, so
+ord g3 <= xi * ord t < k * ord t and g3 + sign*t^k has the order of g3.  So h
+vanishes on no branch and V(h, g1, g2) = {0}.  The t -> t^2 system meets the
+same hypotheses with 2*xi < k' = 2*xi + 2.
+
 J2 itself is never completed.  Probe s decides t^s * g3 in J2 against
 K = J2 + <t^(s+1) * g3>: if t^s * g3 = j + a * t^(s+1) * g3 with j in J2,
 then (1 - a*t) * t^s * g3 = j, and 1 - a*t is a unit, so t^s * g3 lies in J2

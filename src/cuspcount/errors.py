@@ -14,7 +14,7 @@ class ParseError(CuspCountError):
 
 
 class DimensionInfinite(CuspCountError):
-    """A quotient that must be finite-dimensional is not."""
+    """A quotient that must be finite-dimensional is not (CLI exit 3)."""
 
 
 class ExponentOverflow(CuspCountError):
@@ -25,7 +25,8 @@ class ExponentOverflow(CuspCountError):
 
 
 class HypothesisError(CuspCountError):
-    """The input family fails one of the method's hypotheses (CLI exit 2)."""
+    """The input family fails one of the method's hypotheses (CLI exit 2);
+    raised only in derive, verify_hypotheses and compute_xi's cap."""
 
 
 class OriginNotMapped(HypothesisError):
@@ -42,10 +43,6 @@ class HypothesisFailed(HypothesisError):
     def __init__(self, condition: str):
         super().__init__(f"hypothesis failed: {condition} is not finite-dimensional")
         self.condition = condition
-
-
-class NotAlgebraicallyIsolated(HypothesisError):
-    """The germ's zero is not algebraically isolated (local algebra infinite)."""
 
 
 class XiSearchExceededBound(HypothesisError):

@@ -48,6 +48,7 @@ NESTING_CAP = 64
 
 _TOKEN_CHARS = set("+-*/^()")
 _DIGITS = set("0123456789")
+_SLASH = "'/' is only allowed inside a rational literal"
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -148,6 +149,8 @@ class _Parser:
                 acc = self.check_coefficients(acc * rhs, at)
             elif kind in ("NAME", "NUM") or (kind == "OP" and value == "("):
                 raise ParseError("adjacent factors need an explicit '*'", at)
+            elif kind == "OP" and value == "/":
+                raise ParseError(_SLASH, at)
             else:
                 return acc
 
@@ -245,7 +248,7 @@ class _Parser:
             self.expect_op(")")
             return inner
         if kind == "OP" and value == "/":
-            raise ParseError("'/' is only allowed inside a rational literal", at)
+            raise ParseError(_SLASH, at)
         raise ParseError(f"unexpected {value or 'end of input'!r}", at)
 
 

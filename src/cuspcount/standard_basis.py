@@ -89,11 +89,7 @@ from itertools import islice, repeat
 from math import gcd, inf
 from typing import NamedTuple, Sequence
 
-from .errors import (
-    DimensionInfinite,
-    InternalInconsistency,
-    NotAlgebraicallyIsolated,
-)
+from .errors import DimensionInfinite, InternalInconsistency
 from .polyring import (
     FIELD_BITS,
     FIELD_MASK,
@@ -142,11 +138,7 @@ def _lcm(a: int, b: int) -> int:
 
 def _primitive(terms: dict[int, int]) -> dict[int, int]:
     """Strip integer content and normalize the lead coefficient positive."""
-    if not terms:
-        return terms
-    g = 0
-    for c in terms.values():
-        g = gcd(g, c)
+    g = gcd(*terms.values())
     if terms[min(terms)] < 0:
         g = -g
     if g == 1:
@@ -523,11 +515,11 @@ class LocalIdeal:
 
     def cobasis(self) -> tuple[Monomial, ...]:
         """The staircase: the monomials outside the lead ideal as exponent
-        tuples, largest first; they form a basis of the quotient."""
-        st = self._ensure_core().staircase
-        if st is None:
+        tuples, largest first; they form a basis of the quotient.  The one
+        finiteness check of every local algebra: raises DimensionInfinite."""
+        if self.quotient_dim() == INFINITE:
             raise DimensionInfinite("the ideal has infinite codimension")
-        return tuple(unpack_monomial(m, 3) for m in st)
+        return tuple(unpack_monomial(m, 3) for m in self._ensure_core().staircase)
 
 
 class LocalAlgebra:
@@ -542,13 +534,8 @@ class LocalAlgebra:
     """
 
     def __init__(self, ideal: LocalIdeal):
-        if ideal.quotient_dim() == INFINITE:
-            raise NotAlgebraicallyIsolated(
-                "the germ's zero is not algebraically isolated "
-                "(local algebra is infinite-dimensional)"
-            )
-        core = ideal._ensure_core()
         self.cobasis: tuple[Monomial, ...] = ideal.cobasis()
+        core = ideal._ensure_core()
         self.dim: int = len(self.cobasis)
         self._staircase: tuple[int, ...] = core.staircase
         self._index = {m: i for i, m in enumerate(core.staircase)}

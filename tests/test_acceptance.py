@@ -19,7 +19,7 @@ from cuspcount.branch_counter import (
     count_branches,
 )
 from cuspcount.elk_degree import local_degree, signature
-from cuspcount.errors import NotAlgebraicallyIsolated
+from cuspcount.errors import DimensionInfinite
 from cuspcount.exprparse import parse_poly
 from cuspcount.cusp_pipeline import derive, run
 from cuspcount.polyring import Poly, VARS_TX, VARS_X
@@ -132,7 +132,7 @@ def _collect_oracle_germs(n_two, n_three):
             try:
                 # a planar germ g is certified as the germ (t, g1, g2)
                 cert = germ_degree(comps if vars == VARS_TX else pad(comps))
-            except NotAlgebraicallyIsolated:
+            except DimensionInfinite:
                 continue
             if cert.algebra_dim > 5:
                 continue
@@ -198,7 +198,7 @@ def test_criterion_4_signature_suite():
                      for _ in range(2)]
             try:
                 cert = germ_degree(pad(comps))
-            except NotAlgebraicallyIsolated:
+            except DimensionInfinite:
                 continue
             pos, neg = cert.signature_split
             assert pos + neg == cert.algebra_dim

@@ -16,8 +16,8 @@ from cuspcount.branch_counter import (
     curve_criterion_ideal,
 )
 from cuspcount.cusp_pipeline import derive, run
-from cuspcount.elk_degree import local_degree
-from cuspcount.errors import XiSearchExceededBound
+from cuspcount.elk_degree import DegreeCertificate, local_degree
+from cuspcount.errors import NegativeBranchCount, OddBPrime, XiSearchExceededBound
 from cuspcount.exprparse import parse_poly
 from cuspcount.polyring import (
     Poly,
@@ -267,6 +267,29 @@ def test_branches_negative_side_via_substitution():
         flip_t(F1), flip_t(F2), flip_t(J), compute_xi(F1, F2, J)
     )
     assert negative.b0 == 6  # three half-branch pairs at t < 0
+
+
+def test_negative_branch_count_is_an_internal_error(monkeypatch):
+    # b0 = deg(H+) - deg(H-) counts half-branches: with H+ and H- swapped,
+    # the t-axis's b0 = 2 reads -2, which only a bug can produce
+    def swapped(*args):
+        plus, minus = build_H(*args)
+        return minus, plus
+
+    monkeypatch.setattr(branch_counter, "build_H", swapped)
+    with pytest.raises(NegativeBranchCount, match=r"deg\(H\+\) = -1 < deg\(H-\) = 1"):
+        count_branches(*counted_triple(None))
+
+
+def test_odd_substituted_count_is_an_internal_error(monkeypatch):
+    # the t -> t^2 system is symmetric under t -> -t, so its b0 is even
+    degrees = iter([1, 0])
+    monkeypatch.setattr(
+        branch_counter, "local_degree",
+        lambda ideal, jacobian: DegreeCertificate(next(degrees), 1, (), (1, 0)),
+    )
+    with pytest.raises(OddBPrime, match="odd b0 = 1"):
+        count_branches_positive_t(*counted_triple(None), 0)
 
 
 def test_k_stability():

@@ -6,10 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from cuspcount import cli, cusp_pipeline
+from cuspcount import branch_counter, cli, cusp_pipeline
 from cuspcount.cli import main, render_json, report_to_dict
 from cuspcount.cusp_pipeline import run
-from cuspcount.errors import NegativeBranchCount, PipelineError
+from cuspcount.errors import DimensionInfinite, NegativeBranchCount, PipelineError
 from cuspcount.exprparse import parse_poly
 from cuspcount.standard_basis import LocalAlgebra
 
@@ -103,6 +103,36 @@ def test_jacobian_class_off_the_socle_is_an_internal_error(capsys, monkeypatch):
     assert code == 3
     assert out == ""
     assert "internal error" in err and "degree f0" in err and "socle" in err
+
+
+def test_h_without_an_isolated_zero_is_an_internal_error(capsys, monkeypatch):
+    # for k > xi every H(sign) has an algebraically isolated zero, so an
+    # infinite algebra there is a bug, not a failed hypothesis
+    x1, t = parse_poly("x1"), parse_poly("t")
+    germ = ((x1, x1, t), parse_poly("0"))
+    monkeypatch.setattr(branch_counter, "build_H", lambda *args: (germ, germ))
+    with pytest.raises(PipelineError) as e:
+        run(parse_poly(EX1[0]), parse_poly(EX1[1]))
+    assert e.value.stage == "count_branches"
+    assert isinstance(e.value.cause, DimensionInfinite)
+    code, out, err = run_cli(capsys, "analyze", "--f1", EX1[0], "--f2", EX1[1])
+    assert code == 3 and out == ""
+    assert "internal error in stage 'count_branches': DimensionInfinite" in err
+
+
+def test_negative_branch_count_exits_3(capsys, monkeypatch):
+    # H+ and H- swapped give EX1's b0 = 4 as -4: the guard's error reaches
+    # the CLI as an internal error of its stage
+    build_H = branch_counter.build_H
+
+    def swapped(*args):
+        plus, minus = build_H(*args)
+        return minus, plus
+
+    monkeypatch.setattr(branch_counter, "build_H", swapped)
+    code, out, err = run_cli(capsys, "analyze", "--f1", EX1[0], "--f2", EX1[1])
+    assert code == 3 and out == ""
+    assert "internal error in stage 'count_branches': NegativeBranchCount" in err
 
 
 def test_parse_error_exit_code(capsys):

@@ -15,7 +15,7 @@ from cuspcount.elk_degree import (
     local_degree,
     signature,
 )
-from cuspcount.errors import InternalInconsistency, NotAlgebraicallyIsolated
+from cuspcount.errors import DimensionInfinite, InternalInconsistency
 from cuspcount.exprparse import parse_poly
 from cuspcount.polyring import (
     Poly,
@@ -80,7 +80,7 @@ def test_algebra_staircase_dims():
 
 
 def test_algebra_rejects_nonisolated():
-    with pytest.raises(NotAlgebraicallyIsolated):
+    with pytest.raises(DimensionInfinite):
         build_algebra(LocalIdeal(px("x1^2", "x1*x2")))
 
 
@@ -481,6 +481,23 @@ def test_degree_rejects_a_jacobian_off_the_socle():
             local_degree(ideal, wrong)
 
 
+def test_degenerate_pairing_is_an_internal_error(monkeypatch):
+    # the residue pairing of a finite algebra is nondegenerate, so a zero in
+    # its inertia beside a nonzero Jacobian class is a bug
+    monkeypatch.setattr(
+        elk_degree, "signature", lambda matrix: (len(matrix) - 1, 0, 1)
+    )
+    germ = px("x1^2", "x2^2")
+    with pytest.raises(InternalInconsistency, match="degenerate"):
+        local_degree(LocalIdeal(germ), jacobian_det(germ))
+
+
+def test_functional_table_takes_a_staircase_monomial():
+    algebra = build_algebra(LocalIdeal(px("x1^2", "x2^2")))
+    with pytest.raises(ValueError, match="not a packed staircase monomial"):
+        algebra.functional_table(pack_monomial((0, 2, 0)))
+
+
 def test_even_multiplicity_degree_zero():
     # preimages of a regular value come in sign-cancelling pairs
     cert = germ_degree(px("x1^2", "x2^2 + x1^2"))
@@ -492,7 +509,7 @@ def test_real_isolation_only_is_rejected():
     # (x1, x2) * (x1^2 + x2^2): the only real zero is the origin but the
     # complex zero set contains two lines, so the algebra is infinite
     comps = px("x1^3 + x1*x2^2", "x2*x1^2 + x2^3")
-    with pytest.raises(NotAlgebraicallyIsolated):
+    with pytest.raises(DimensionInfinite):
         germ_degree(comps)
 
 
@@ -503,7 +520,7 @@ def test_certificate_invariants():
         comps = [random_origin_poly(rng, VARS_X, max_deg=3, n_terms=4) for _ in range(2)]
         try:
             cert = germ_degree(pad(comps))
-        except NotAlgebraicallyIsolated:
+        except DimensionInfinite:
             continue
         found += 1
         pos, neg = cert.signature_split
@@ -563,7 +580,7 @@ def test_jacobian_class_spans_the_last_staircase_monomial():
         try:
             if build_algebra(LocalIdeal(comps)).dim == 0:
                 continue
-        except NotAlgebraicallyIsolated:
+        except DimensionInfinite:
             continue
         _assert_class_spans_the_socle(comps)
         checked += 1
@@ -599,7 +616,7 @@ def test_pairing_vanishes_at_degree_n():
             comps = pad(comps)
         try:
             algebra = build_algebra(LocalIdeal(comps))
-        except NotAlgebraicallyIsolated:
+        except DimensionInfinite:
             continue
         if algebra.dim == 0:
             continue
@@ -633,7 +650,7 @@ def _random_isolated_germ(rng, vars, max_dim):
                  for _ in range(len(vars))]
         try:
             cert = germ_degree(comps if vars == VARS_TX else pad(comps))
-        except NotAlgebraicallyIsolated:
+        except DimensionInfinite:
             continue
         if cert.algebra_dim > max_dim:
             continue

@@ -210,8 +210,15 @@ def test_adjacency_rejected():
 
 
 def test_division_only_in_literals():
-    with pytest.raises(ParseError):
-        parse_poly("x1/2")
+    # a "/" that starts a factor or follows one joins no rational literal,
+    # and is named at its own position
+    for text, at in (("/3", 0), ("x1/2", 2), ("(x1+x2)/2", 7), ("2/3/4", 3)):
+        with pytest.raises(ParseError) as e:
+            parse_poly(text)
+        assert str(e.value) == (
+            f"'/' is only allowed inside a rational literal (at position {at})"
+        )
+        assert e.value.position == at
     with pytest.raises(ParseError):
         parse_poly("1/x1")
     with pytest.raises(ParseError):
@@ -226,6 +233,8 @@ def test_empty_input():
 def test_unbalanced_parens():
     with pytest.raises(ParseError):
         parse_poly("(x1 + x2")
+    with pytest.raises(ParseError, match=r"unexpected '\)' \(at position 7\)"):
+        parse_poly("x1 + x2)")
 
 
 def test_distinct_variable_names_required():

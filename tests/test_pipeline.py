@@ -20,7 +20,7 @@ from cuspcount.errors import (
     PipelineError,
 )
 from cuspcount.exprparse import parse_poly
-from cuspcount.polyring import VARS_TX, Poly, jacobian_det, partial
+from cuspcount.polyring import VARS_TX, VARS_X, Poly, jacobian_det, partial
 
 from support import (
     CRAFTED_FAMILIES,
@@ -96,6 +96,12 @@ def test_derive_rejects_regular_germ():
 def test_derive_rejects_nonzero_constant():
     with pytest.raises(OriginNotMapped):
         derive(p("x1 + 1"), p("x2"))
+
+
+def test_derive_rejects_germs_outside_t_x1_x2():
+    # a family in (x1, x2) is no input: the parameter t is part of it
+    with pytest.raises(ValueError, match="input germs must live in"):
+        derive(parse_poly("x1", VARS_X), parse_poly("x2", VARS_X))
 
 
 def test_verify_hypotheses_worked_family():
@@ -177,6 +183,11 @@ def test_euler_extras_examples():
     assert euler_extras(0, 0, 0, +1) == (1, 2)
     with pytest.raises(ParityViolation):
         euler_extras(0, 1, 0, +1)
+    # deg(d0) = 2 leaves 2*(1 - deg d0) = -2 points on a circle
+    with pytest.raises(ParityViolation, match="negative level-set count"):
+        euler_extras(2, 0, 0, +1)
+    with pytest.raises(ValueError, match="t_sign"):
+        euler_extras(0, 0, 0, 0)
 
 
 def test_run_worked_family_full_report():

@@ -126,6 +126,11 @@ def test_substitute_t_squared_examples():
     assert substitute_t_squared(p("t^3")) == p("t^6")
 
 
+def test_substitute_t_squared_needs_t_first():
+    with pytest.raises(ValueError, match="starting with 't'"):
+        substitute_t_squared(p("x1", VARS_X))
+
+
 def test_substitute_t_negated():
     # t -> -t^2 is t -> -t followed by t -> t^2
     assert substitute_t_squared(flip_t(p("t + t^2"))) == p("-t^2 + t^4")
@@ -306,6 +311,20 @@ def test_non_int_exponents_raise_value_error():
     for mono in ((1.0, 0), ("1", 0)):
         with pytest.raises(ValueError, match="bad exponent vector"):
             Poly(VARS_X, {mono: 1})
+
+
+def test_constructor_rejects_a_float_coefficient():
+    with pytest.raises(TypeError, match="not an int or a Fraction"):
+        Poly(VARS_X, {(1, 0): 0.5})
+
+
+def test_variable_outside_the_ambient_raises():
+    with pytest.raises(ValueError, match="unknown variable 't'"):
+        Poly.variable("t", VARS_X)
+
+
+def test_repr_names_the_ambient():
+    assert repr(p("t*x1 - 1/2")) == "Poly(t*x1*x2: -1/2 + t*x1)"
 
 
 def test_repeated_variable_in_the_ambient_raises():

@@ -1,7 +1,10 @@
-"""Static checks on the package source: code that only tests call is deleted."""
+"""Static checks on the package source: code that only tests call is deleted,
+and each error class is raised where its meaning says."""
 
 import ast
 from pathlib import Path
+
+from cuspcount import errors
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "cuspcount"
 
@@ -64,3 +67,46 @@ def test_every_slot_is_read_by_the_package():
     assert ("_Elem", "lm") in slots
     unread = [f"{cls}.{name}" for cls, name in slots if name not in read]
     assert not unread, f"slots no code in the package reads: {unread}"
+
+
+
+def _raises():
+    """(qualified name of the enclosing def, raised name) for each
+    `raise Name` or `raise Name(...)` in the package, a raised attribute
+    counting by its last name."""
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield from visit(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = getattr(child.exc, "func", child.exc)
+                name = getattr(exc, "id", getattr(exc, "attr", None))
+                if name:
+                    yield scope, name
+            yield from visit(child, scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        yield from visit(ast.parse(path.read_text(), str(path)), path.stem)
+
+
+ERROR_CLASSES = {name: c for name, c in vars(errors).items()
+                 if isinstance(c, type) and c.__module__ == errors.__name__}
+
+
+def test_hypothesis_errors_are_raised_only_where_hypotheses_are_decided():
+    # exit 2 means the family failed a hypothesis: derive and
+    # verify_hypotheses decide them, and compute_xi's cap bounds xi
+    hypothesis = {name for name, c in ERROR_CLASSES.items()
+                  if issubclass(c, errors.HypothesisError)}
+    assert {scope for scope, name in _raises() if name in hypothesis} == {
+        "cusp_pipeline.derive", "cusp_pipeline.verify_hypotheses",
+        "branch_counter.compute_xi",
+    }
+
+
+def test_every_error_class_is_raised_or_a_base_of_one_that_is():
+    live = {base for _, name in _raises() if name in ERROR_CLASSES
+            for base in ERROR_CLASSES[name].__mro__}
+    dead = sorted(name for name, c in ERROR_CLASSES.items() if c not in live)
+    assert not dead, f"error classes the package never raises: {dead}"

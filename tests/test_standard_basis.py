@@ -14,7 +14,6 @@ from cuspcount.errors import (
     DimensionInfinite,
     ExponentOverflow,
     InternalInconsistency,
-    NotAlgebraicallyIsolated,
 )
 from cuspcount.exprparse import parse_poly
 from cuspcount.polyring import (
@@ -354,11 +353,14 @@ def test_fraction_free_reduction_matches_rational_reduction():
         # the multiplier undoes the fraction-free scaling exactly
         assert {unpack_monomial(m, 3): Fraction(c, mult)
                 for m, c in got.items()} == want, (basis, p_terms)
-        # and the completion's primitive remainder is the normalized one
+        if not got:
+            continue
+        # and the completion's primitive remainder is the normalized one;
+        # the completion makes only nonzero remainders primitive
         assert {unpack_monomial(m, 3): c
                 for m, c in _primitive(got).items()} \
             == primitive_tuple_terms(want), (basis, p_terms)
-        nonzero += bool(got)
+        nonzero += 1
     assert nonzero > 100
 
 
@@ -594,7 +596,7 @@ def test_zero_ideal():
     assert not ideal.contains(p("x1"))
     with pytest.raises(DimensionInfinite):
         ideal.cobasis()
-    with pytest.raises(NotAlgebraicallyIsolated):
+    with pytest.raises(DimensionInfinite):
         germ_degree(pad([Poly.zero(VARS_X), p("x2", VARS_X)]))
 
 
