@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import codecs
 import json
-import re
 import sys
 from dataclasses import asdict
 
@@ -40,14 +39,15 @@ whole expression.
 """
 
 JSON_SCHEMA_VERSION = 1
-_INPUT_KEYS = ("f1", "f2", "seed")
+_INPUT_KEYS = ("f1", "f2")
 
 
 def report_to_dict(report: BifurcationReport) -> dict:
     """JSON-ready dictionary mirroring BifurcationReport field for field."""
     return {
         "schema": JSON_SCHEMA_VERSION,
-        "input": {"f1": report.f1, "f2": report.f2, "seed": report.seed},
+        # schema 1 keeps the seed key; nothing reads a seed, so it is always 0
+        "input": {"f1": report.f1, "f2": report.f2, "seed": 0},
         "hypotheses": asdict(report.hypotheses),
         "deg_f0": report.deg_f0,
         "deg_d0": report.deg_d0,
@@ -117,31 +117,9 @@ def render_text(report: BifurcationReport) -> str:
     return "\n".join(lines)
 
 
-def _parse_seed(text: str) -> int:
-    """An int written with an optional sign and the ASCII digits 0-9; int()
-    alone also takes underscores and the digits of other scripts.  Past
-    Python's digit limit int() points to sys.set_int_max_str_digits, which
-    the command line cannot call: the error names the limit instead."""
-    try:
-        value = int(text)
-    except ValueError:
-        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-        if not limit or len(text) <= limit:
-            raise
-        raise ValueError(
-            f"seed of {len(text)} characters is longer than the {limit} "
-            "digits Python converts to an int"
-        ) from None
-    if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", text):
-        raise ValueError(
-            f"seed {text!r} must be an optional sign and the ASCII digits 0-9"
-        )
-    return value
-
-
 def _read_input_file(path: str) -> dict:
-    """The values of a key = value file: f1 and f2 parsed, seed as an int.
-    Every error names the line it was found on."""
+    """The parsed f1 and f2 of a key = value file.  Every error names the
+    line it was found on."""
     values: dict = {}
     with open(path, "rb") as fh:
         # a leading byte-order mark is no part of the first key
@@ -164,10 +142,20 @@ def _read_input_file(path: str) -> dict:
                 )
             if key in values:
                 raise ValueError(f"duplicate key {key!r}")
-            values[key] = _parse_seed(value) if key == "seed" else parse_poly(value)
+            values[key] = parse_poly(value)
         except (ParseError, ValueError) as e:
             raise ValueError(f"line {lineno}: {e}") from None
     return values
+
+
+def _ascii_count(text: str) -> int:
+    """A count written with the ASCII digits 0-9 only; int() also takes a
+    sign, underscores and the digits of other scripts."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(
+            f"{text!r} is not a count in the ASCII digits 0-9"
+        )
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -189,15 +177,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     analyze.add_argument("--f1", help="first component, in t, x1, x2")
     analyze.add_argument("--f2", help="second component, in t, x1, x2")
-    analyze.add_argument(
-        "--input", help="read f1, f2 and optionally seed from a key=value file"
-    )
-    analyze.add_argument("--seed", default="0",
-                         help="seed echoed in the report; the analysis "
-                              "is deterministic and does not use it")
+    analyze.add_argument("--input", help="read f1 and f2 from a key=value file")
     analyze.add_argument("--json", action="store_true",
                          help="emit the report as JSON")
-    analyze.add_argument("--xi-cap", type=int, default=DEFAULT_XI_CAP,
+    analyze.add_argument("--xi-cap", type=_ascii_count, default=DEFAULT_XI_CAP,
                          help="bound for the one search for xi, the membership "
                               "exponent; the t -> t^2 system uses 2*xi")
     analyze.add_argument("-v", "--verbose", action="store_true",
@@ -209,20 +192,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.xi_cap < 0:
-            parser.error(f"argument --xi-cap: must be >= 0, got {args.xi_cap}")
     except SystemExit as e:
         # argparse exits 2 on usage errors; the contract here is exit 1
         return 0 if e.code == 0 else 1
 
     try:
         values = _read_input_file(args.input) if args.input else {}
-        if any(k not in values and not getattr(args, k) for k in ("f1", "f2")):
+        if any(k not in values and getattr(args, k) is None for k in ("f1", "f2")):
             print("error: --f1 and --f2 (or --input) are required", file=sys.stderr)
             return 1
         f1 = values["f1"] if "f1" in values else parse_poly(args.f1)
         f2 = values["f2"] if "f2" in values else parse_poly(args.f2)
-        seed = values["seed"] if "seed" in values else _parse_seed(args.seed)
     except (ParseError, OSError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -230,7 +210,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.verbose:
         print(f"analyzing f = ({f1}, {f2})", file=sys.stderr)
     try:
-        report = run(f1, f2, seed=seed, xi_cap=args.xi_cap)
+        report = run(f1, f2, xi_cap=args.xi_cap)
     except PipelineError as e:
         if isinstance(e.cause, HypothesisError):
             print(f"analysis failed: {e}", file=sys.stderr)

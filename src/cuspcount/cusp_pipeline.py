@@ -116,7 +116,6 @@ class BifurcationReport:
 
     f1: str
     f2: str
-    seed: int
     hypotheses: HypothesisReport
     deg_f0: int
     deg_d0: int
@@ -272,7 +271,6 @@ def _parity_ok(sigma: tuple[int, int, int, int], dim_q: int) -> bool:
 def run(
     f1: Poly,
     f2: Poly,
-    seed: int = 0,
     xi_cap: int = DEFAULT_XI_CAP,
 ) -> BifurcationReport:
     """Run the whole pipeline; every stage's error is tagged with its name:
@@ -318,7 +316,6 @@ def run(
     return BifurcationReport(
         f1=str(f1),
         f2=str(f2),
-        seed=seed,
         hypotheses=hyp,
         deg_f0=deg_f0,
         deg_d0=deg_d0,

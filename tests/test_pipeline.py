@@ -304,6 +304,6 @@ def test_negative_side_branch_cross_check(family):
 
 
 def test_determinism():
-    a = run(p(EX1[0]), p(EX1[1]), seed=5)
-    b = run(p(EX1[0]), p(EX1[1]), seed=5)
+    a = run(p(EX1[0]), p(EX1[1]))
+    b = run(p(EX1[0]), p(EX1[1]))
     assert a == b
